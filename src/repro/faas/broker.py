@@ -7,9 +7,13 @@ Provides what the paper's OpenWhisk deployment relies on:
 * the global **fast-lane topic** shared by all invokers (Sec. III-C),
 * atomic **drain** of a topic (used when the controller re-routes a
   departing invoker's unpulled requests),
-* a small, constant publish latency (messages become visible to consumers
-  shortly after ``publish`` returns, preserving happened-before ordering
-  per topic).
+* a small, constant publish latency: a message becomes visible to
+  consumers ``publish_latency`` seconds after ``publish`` returns.
+
+A delayed publish is one kernel :class:`~repro.sim.Timeout` whose
+callback deposits the message into the topic.  No process is spawned per
+message, so a publish costs exactly one event.  Timeouts due at the same
+instant fire in scheduling order, which keeps each topic FIFO.
 
 Replication, partitioning and broker failures are out of scope — the paper
 treats Kafka as reliable transport, and so do we (DESIGN.md §7).
@@ -31,7 +35,7 @@ HEALTH_TOPIC = "health"
 
 
 class Broker:
-    """Topic registry + delayed-publish machinery."""
+    """Topic registry; each delayed publish is one timer event."""
 
     def __init__(self, env: Environment, publish_latency: float = 0.002) -> None:
         if publish_latency < 0:
@@ -64,18 +68,16 @@ class Broker:
 
         Per-topic FIFO is preserved: deliveries are scheduled through the
         event queue, whose ordering is deterministic for equal timestamps.
+        A zero latency deposits the message before ``publish`` returns.
         """
         self.published_counts[name] = self.published_counts.get(name, 0) + 1
         store = self.topic(name)
         if self.publish_latency == 0:
             store.put(message)
             return
-
-        def deliver():
-            yield self.env.timeout(self.publish_latency)
-            store.put(message)
-
-        self.env.process(deliver())
+        self.env.timeout(self.publish_latency).callbacks.append(
+            lambda _event: store.put(message)
+        )
 
     def peek_depth(self, name: str) -> int:
         """Queued message count without creating the topic.

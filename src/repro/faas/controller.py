@@ -22,8 +22,9 @@ from __future__ import annotations
 import enum
 
 from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +38,10 @@ from repro.faas.messages import (
     PingMessage,
     next_activation_id,
 )
-from repro.sim import AnyOf, Environment, Event
+from repro.sim import Environment, Event
+
+#: what a timed-out activation's ``done`` event settles with
+_TIMED_OUT = object()
 
 
 class InvokerStatus(enum.Enum):
@@ -74,7 +78,15 @@ class ControllerEvent:
 
 
 class Controller:
-    """Routes invocations, tracks invokers, resolves completions."""
+    """Routes invocations, tracks invokers, resolves completions.
+
+    Activation deadlines live in one FIFO ledger with at most one armed
+    timer.  The ledger relies on ``config.activation_timeout`` staying
+    constant for the controller's lifetime: deadlines are then entered
+    in the order they fall due, and only the ledger's head needs a
+    timer.  Each activation still times out at exactly
+    ``submitted + activation_timeout``.
+    """
 
     def __init__(
         self,
@@ -114,6 +126,11 @@ class Controller:
         #: in-flight activation count per member cluster ("" = unfederated)
         self._inflight_by_cluster: Dict[str, int] = {}
         self._pending: Dict[str, Tuple[Event, ActivationRecord]] = {}
+        #: ``(deadline, activation_id)`` per accepted activation, in
+        #: submit order (and so in deadline order)
+        self._deadlines: Deque[Tuple[float, str]] = deque()
+        #: the ledger's one armed timer; None while nothing is pending
+        self._deadline_timer: Optional[Event] = None
         #: every accepted activation, in submit order (the request ledger)
         self.records: List[ActivationRecord] = []
         #: count of immediate 503 rejections
@@ -246,6 +263,59 @@ class Controller:
             counts.pop(cluster_id, None)
 
     # ------------------------------------------------------------------
+    # deadline ledger
+    # ------------------------------------------------------------------
+    def _deadline_add(self, activation_id: str) -> None:
+        timeout = self.config.activation_timeout
+        self._deadlines.append((self.env.now + timeout, activation_id))
+        if self._deadline_timer is None:
+            self._deadline_arm(timeout)
+
+    def _deadline_arm(self, delay: float) -> None:
+        timer = self.env.timeout(delay)
+        timer.callbacks.append(self._expire_deadlines)
+        self._deadline_timer = timer
+
+    def _deadlines_clear(self) -> None:
+        """Nothing is pending: empty the ledger and withdraw its timer."""
+        self._deadlines.clear()
+        if self._deadline_timer is not None:
+            self.env.cancel(self._deadline_timer)
+            self._deadline_timer = None
+
+    def _expire_deadlines(self, _timer: Event) -> None:
+        """Time out every due activation, then re-arm for the next one.
+
+        Completed heads are dropped on the way.  A timed-out activation
+        leaves ``_pending`` here, at its deadline, so a completion that
+        arrives later is dropped by the consumer.
+        """
+        self._deadline_timer = None
+        now = self.env.now
+        deadlines = self._deadlines
+        pending = self._pending
+        while deadlines:
+            due, activation_id = deadlines[0]
+            entry = pending.get(activation_id)
+            if entry is None:
+                deadlines.popleft()
+                continue
+            if due > now:
+                # due = submitted + timeout with submitted <= now, and
+                # now >= timeout as it is itself a deadline, so
+                # due <= 2 * now: the difference is exact (Sterbenz)
+                # and the timer lands on `due` itself.
+                self._deadline_arm(due - now)
+                return
+            deadlines.popleft()
+            del pending[activation_id]
+            done, record = entry
+            self._inflight_dec(record)
+            record.status = ActivationStatus.TIMEOUT
+            record.completed_at = now
+            done.succeed(_TIMED_OUT)
+
+    # ------------------------------------------------------------------
     # invocation path
     # ------------------------------------------------------------------
     def choose_invoker(
@@ -340,33 +410,25 @@ class Controller:
         done = env.event()
         self._pending_add(done, record)
         self.broker.publish(self.invoker_topic(target), message)
+        self._deadline_add(activation_id)
 
-        deadline = env.timeout(self.config.activation_timeout)
-        yield AnyOf(env, [done, deadline])
-        if done._processed:
-            completion: CompletionMessage = done.value
-            status = (
-                ActivationStatus.SUCCESS if completion.success else ActivationStatus.FAILED
-            )
+        completion = yield done
+        if completion is _TIMED_OUT:
             return ActivationResult(
                 activation_id=activation_id,
                 function=function,
-                status=status,
-                result=completion.result,
-                error=completion.error,
+                status=ActivationStatus.TIMEOUT,
+                error="activation timed out",
                 response_time=env.now - submitted,
                 fast_laned=record.fast_laned,
             )
-        # Timed out: stop tracking; a late completion is dropped.
-        if self._pending.pop(activation_id, None) is not None:
-            self._inflight_dec(record)
-        record.status = ActivationStatus.TIMEOUT
-        record.completed_at = env.now
+        status = ActivationStatus.SUCCESS if completion.success else ActivationStatus.FAILED
         return ActivationResult(
             activation_id=activation_id,
             function=function,
-            status=ActivationStatus.TIMEOUT,
-            error="activation timed out",
+            status=status,
+            result=completion.result,
+            error=completion.error,
             response_time=env.now - submitted,
             fast_laned=record.fast_laned,
         )
@@ -383,6 +445,8 @@ class Controller:
                 continue  # late completion after timeout: dropped
             done, record = entry
             self._inflight_dec(record)
+            if not self._pending:
+                self._deadlines_clear()
             record.completed_at = env.now
             record.status = (
                 ActivationStatus.SUCCESS if completion.success else ActivationStatus.FAILED
@@ -480,11 +544,9 @@ class Controller:
                     # unpulled messages are stranded and their activations
                     # will time out — the failure mode the drain protocol
                     # exists to avoid.
+                    stranded = self.broker.peek_depth(self.invoker_topic(record.invoker_id))
                     self.events.append(
                         ControllerEvent(
-                            env.now,
-                            "invoker_lost",
-                            record.invoker_id,
-                            {"stranded": self.broker.depth(self.invoker_topic(record.invoker_id))},
+                            env.now, "invoker_lost", record.invoker_id, {"stranded": stranded}
                         )
                     )

@@ -107,3 +107,101 @@ def test_multiple_consumers_share_topic_fifo(env):
     env.run(until=10)
     assert sorted(got["c1"] + got["c2"]) == list(range(6))
     assert got["c1"] and got["c2"]  # both actually served
+
+
+# ----------------------------------------------------------------------
+# delivery timing and kernel cost
+# ----------------------------------------------------------------------
+def test_delivery_lands_exactly_one_latency_after_publish(env):
+    broker = Broker(env, publish_latency=0.002)
+    received = []
+
+    def consumer(env):
+        while True:
+            message = yield broker.get("t")
+            received.append((message, env.now))
+
+    def producer(env):
+        for at in (0.3, 1.7, 12.25):
+            yield env.timeout(at - env.now)
+            broker.publish("t", at)
+
+    env.process(consumer(env))
+    env.process(producer(env))
+    env.run(until=20)
+    assert received == [(at, at + 0.002) for at in (0.3, 1.7, 12.25)]
+
+
+def test_same_instant_publishes_keep_per_topic_fifo(env):
+    broker = Broker(env, publish_latency=0.01)
+    received = {"a": [], "b": []}
+
+    def consumer(env, name):
+        while True:
+            received[name].append((yield broker.get(name)))
+
+    def producer(env):
+        yield env.timeout(0.5)
+        for i in range(50):
+            broker.publish("a" if i % 3 else "b", i)
+
+    env.process(consumer(env, "a"))
+    env.process(consumer(env, "b"))
+    env.process(producer(env))
+    env.run(until=1)
+    assert received["a"] == [i for i in range(50) if i % 3]
+    assert received["b"] == [i for i in range(50) if not i % 3]
+
+
+def test_delivery_precedes_a_same_instant_wait_started_after_publish(env):
+    """The delivery timer is scheduled inside ``publish``, so it fires
+    before a wait of the same length the publisher starts right after."""
+    broker = Broker(env, publish_latency=0.25)
+    seen = []
+
+    def publisher(env):
+        yield env.timeout(1.0)
+        broker.publish("t", "m")
+        yield env.timeout(0.25)
+        seen.append((env.now, broker.peek_depth("t")))
+
+    env.process(publisher(env))
+    env.run()
+    assert seen == [(1.25, 1)]
+
+
+def test_zero_latency_publish_wakes_getter_without_a_timer(env):
+    broker = Broker(env, publish_latency=0.0)
+    got = []
+
+    def consumer(env):
+        got.append(((yield broker.get("t")), env.now))
+
+    env.process(consumer(env))
+    env.run()
+    broker.publish("t", "x")
+    # the getter is settled inside publish: only its wake-up is queued
+    assert len(env) == 1
+    env.run()
+    assert got == [("x", 0.0)]
+
+
+def test_publish_spawns_no_process(env, monkeypatch):
+    from repro.sim.process import Process
+
+    spawned = []
+    original = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        spawned.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    broker = Broker(env, publish_latency=0.002)
+    for i in range(100):
+        broker.publish(f"t{i % 4}", i)
+    assert spawned == []
+    assert len(env) == 100  # one timer per message, nothing else
+    env.run()
+    assert spawned == []
+    assert sum(broker.peek_depth(f"t{k}") for k in range(4)) == 100

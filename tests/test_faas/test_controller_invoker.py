@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.faas import (
     ActivationStatus,
@@ -12,8 +14,9 @@ from repro.faas import (
     Invoker,
     InvokerStatus,
 )
-from repro.faas.broker import FASTLANE_TOPIC
-from repro.sim import Interrupt
+from repro.faas.broker import COMPLETED_TOPIC, FASTLANE_TOPIC, HEALTH_TOPIC
+from repro.faas.messages import CompletionMessage, PingMessage
+from repro.sim import Environment, Interrupt
 
 
 def fast_config(**overrides):
@@ -375,3 +378,158 @@ def test_fastlane_served_before_own_topic(env):
     env.process(lifecycle(env))
     env.run(until=5)
     assert served[0] == "act-fast"
+
+
+# ----------------------------------------------------------------------
+# activation deadlines
+# ----------------------------------------------------------------------
+
+def register_ghost(broker, invoker_id="ghost", cluster=""):
+    """An invoker the controller routes to, but which never pulls."""
+    broker.publish(HEALTH_TOPIC, PingMessage(invoker_id, "register", 0.0, cluster=cluster))
+
+
+def fake_invoker(env, broker, delays, invoker_id="ghost"):
+    """Pulls its topic and completes each activation after ``delays[i]``
+    (the i-th message it receives), concurrently."""
+
+    def complete(message, delay):
+        yield env.timeout(delay)
+        broker.publish(COMPLETED_TOPIC, CompletionMessage(message.activation_id, invoker_id, True))
+
+    def pull(env):
+        for delay in delays:
+            message = yield broker.get(f"invoker-{invoker_id}")
+            env.process(complete(message, delay))
+
+    return env.process(pull(env))
+
+
+def submit_at(env, controller, times, results):
+    def client(env):
+        for at in times:
+            yield env.timeout(at - env.now)
+            env.process(one(env))
+
+    def one(env):
+        results.append((yield from controller.invoke("f")))
+
+    return env.process(client(env))
+
+
+def test_silent_invoker_times_out_exactly_at_deadline(env):
+    config = fast_config(activation_timeout=7.0, ping_timeout=1e9)
+    broker, controller, _ = build_stack(env, config)
+    controller.deploy(FunctionDef(name="f", duration=0.01))
+    register_ghost(broker)
+    times = [0.1, 0.7, 1.3, 2.9, 3.3, 9.1, 9.4]  # several deadlines re-arm
+    results = []
+    submit_at(env, controller, times, results)
+    env.run(until=30)
+    assert [r.status for r in results] == [ActivationStatus.TIMEOUT] * len(times)
+    assert [r.completed_at for r in controller.records] == [t + 7.0 for t in times]
+    assert [r.response_time for r in results] == [(t + 7.0) - t for t in times]
+
+
+def test_late_completion_is_dropped_and_inflight_returns_to_zero(env):
+    config = fast_config(activation_timeout=5.0, ping_timeout=1e9, health_check_interval=1e6)
+    broker, controller, _ = build_stack(env, config)
+    controller.deploy(FunctionDef(name="f", duration=0.01))
+    register_ghost(broker, cluster="alpha")
+    results = []
+    submit_at(env, controller, [1.0, 1.5], results)
+    env.run(until=2)
+    assert controller.inflight_count == 2
+    assert controller.inflight_count_for("alpha") == 2
+    env.run(until=10)
+    assert controller.inflight_count == 0
+    assert controller.inflight_count_for("alpha") == 0
+    for record in controller.records:
+        broker.publish(COMPLETED_TOPIC, CompletionMessage(record.activation_id, "ghost", True))
+    env.run(until=12)
+    assert [r.status for r in results] == [ActivationStatus.TIMEOUT] * 2
+    assert [r.status for r in controller.records] == [ActivationStatus.TIMEOUT] * 2
+    assert controller.inflight_count == 0
+    assert controller.inflight_count_for("alpha") == 0
+
+
+def test_at_most_one_deadline_timer_is_queued(env):
+    """Fifty pending activations keep only the ledger's one timer queued."""
+    config = fast_config(activation_timeout=10.0, ping_timeout=1e9, health_check_interval=1e6)
+    broker, controller, _ = build_stack(env, config)
+    controller.deploy(FunctionDef(name="f", duration=0.01))
+    register_ghost(broker)
+    results = []
+    times = [0.5 + 0.1 * i for i in range(50)]
+    submit_at(env, controller, times, results)
+    while env.peek() < 30:
+        env.step()
+        # ping scanner + client + at most one delivery + the ledger timer
+        assert len(env) <= 4
+        if env.now == 5.5:
+            assert controller.inflight_count == 50
+    assert len(results) == 50
+    assert {r.status for r in results} == {ActivationStatus.TIMEOUT}
+    assert [r.completed_at for r in controller.records] == [t + 10.0 for t in times]
+
+
+class _UnscannedController(Controller):
+    """No ping scanner, so the run ends once the queue drains."""
+
+    def _ping_scanner(self):
+        return
+        yield
+
+
+def test_run_ends_soon_after_the_last_completion(env):
+    config = fast_config(activation_timeout=60.0)
+    broker = Broker(env, publish_latency=config.publish_latency)
+    controller = _UnscannedController(env, broker, config=config)
+    controller.deploy(FunctionDef(name="f", duration=0.01))
+    register_ghost(broker)
+    fake_invoker(env, broker, [0.3] * 20)
+    results = []
+    submit_at(env, controller, [1.0 + 0.05 * i for i in range(20)], results)
+    env.run()
+    assert [r.status for r in results] == [ActivationStatus.SUCCESS] * 20
+    # the run ends with the last completion, not a minute later
+    assert env.now == max(r.completed_at for r in controller.records)
+    assert controller.inflight_count == 0
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    plan=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+            st.floats(min_value=0.0, max_value=25.0, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=25,
+    )
+)
+def test_each_invocation_gets_one_outcome_timeout_iff_late(plan):
+    """Completion delays on both sides of the timeout: TIMEOUT exactly
+    when the delay exceeds it, and never two outcomes for one call."""
+    timeout = 10.0
+    plan = sorted(plan)
+    plan = [(at, delay) for at, delay in plan if abs(delay - timeout) > 1e-6]
+    env = Environment()
+    config = fast_config(
+        publish_latency=0.0, activation_timeout=timeout, ping_timeout=1e9,
+        health_check_interval=1e6,
+    )
+    broker, controller, _ = build_stack(env, config)
+    controller.deploy(FunctionDef(name="f", duration=0.01))
+    register_ghost(broker)
+    fake_invoker(env, broker, [delay for _at, delay in plan])
+    results = []
+    submit_at(env, controller, [at for at, _delay in plan], results)
+    env.run(until=60)
+    by_id = {r.activation_id: r for r in results}
+    assert len(by_id) == len(results) == len(plan)
+    for record, (_at, delay) in zip(controller.records, plan):
+        expected = ActivationStatus.TIMEOUT if delay > timeout else ActivationStatus.SUCCESS
+        assert by_id[record.activation_id].status is expected
+        assert record.status is expected
+    assert controller.inflight_count == 0
