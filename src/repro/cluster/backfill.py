@@ -1,9 +1,15 @@
 """Priority-tier scheduling with EASY-style backfill.
 
-The planner is a pure function over controller state: given the clock, the
-pending queue, and node/running-job status, it returns *decisions* — jobs to
-start now (with granted time limits) and preemptions to issue.  The
-controller (:mod:`repro.cluster.slurmctld`) owns all side effects.
+The pending queue lives in a :class:`PendingIndex`, kept between passes in
+the shapes a pass reads; the controller (:mod:`repro.cluster.slurmctld`)
+updates it on submit, start and cancel.  :meth:`BackfillScheduler.plan`
+reads it, with the clock, the nodes and the commitments, and returns
+*decisions*: jobs to start now (with granted time limits) and preemptions
+to issue.  The controller owns all side effects.  Each pass still
+recomputes the free nodes, because slurmd, node failures and reservations
+change node states between passes, and each node's claim, which is
+clamped to the clock.  So a pass costs O(due jobs + nodes), not a walk
+and a sort of the whole queue.
 
 Semantics reproduced from the paper's Slurm configuration (Sec. III-D):
 
@@ -25,9 +31,11 @@ Semantics reproduced from the paper's Slurm configuration (Sec. III-D):
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.job import Job
 from repro.cluster.node import Node, NodeState
@@ -111,9 +119,120 @@ class SchedulingPlan:
     examined_tier0: int = 0
 
 
+#: a queued job with its queue-order key: ``(-priority, submit_time, job_id, job)``
+QueueEntry = Tuple[float, float, int, Job]
+
+
+def _queue_entry(job: Job) -> QueueEntry:
+    # job_id is unique, so ordering entries never compares two Jobs, and
+    # bisect needs no key= (which Python 3.9 lacks).
+    return (-job.spec.priority, job.submit_time, job.job_id, job)
+
+
+def _begin(job: Job) -> float:
+    """Earliest start of *job*: its ``--begin``, else its submit time."""
+    return job.spec.begin_time if job.spec.begin_time is not None else job.submit_time
+
+
+def _pins(job: Job) -> Sequence[str]:
+    """The nodes a pinned job claims (none for an unpinned one)."""
+    spec = job.spec
+    return spec.required_nodes[: spec.num_nodes] if spec.required_nodes else ()
+
+
+class PendingIndex:
+    """The pending queue, kept between passes in the shapes a pass reads.
+
+    * every job, in submit order (the ``squeue`` view);
+    * :attr:`tier0`: tier-0 jobs in queue order ``(-priority, submit_time,
+      job_id)``;
+    * higher-tier jobs in a begin-time heap until they are due, then in
+      :attr:`due`, one list per tier in queue order;
+    * per node, the sorted begin times of pending pinned higher-tier jobs;
+      their minimum, clamped to the clock, is the node's claim.
+
+    The owner calls :meth:`add` and :meth:`remove`; :meth:`promote` moves
+    due jobs out of the heap.  A job removed while still in the heap leaves
+    its heap entry behind, and :meth:`promote` drops it.
+    """
+
+    def __init__(self) -> None:
+        #: job_id -> (job, tier), in submit order
+        self._jobs: Dict[int, Tuple[Job, int]] = {}
+        self.tier0: List[QueueEntry] = []
+        self.due: Dict[int, List[QueueEntry]] = {}
+        #: (begin, job_id) of higher-tier jobs not yet due
+        self._future: List[Tuple[float, int]] = []
+        #: node name -> sorted begin times of the pinned jobs claiming it
+        self._begins: Dict[str, List[float]] = {}
+
+    @classmethod
+    def of(cls, jobs: Sequence[Job], partitions: Dict[str, Partition]) -> "PendingIndex":
+        """Index the pending jobs of a plain sequence."""
+        index = cls()
+        for job in jobs:
+            if job.is_pending:
+                index.add(job, partitions[job.spec.partition].priority_tier)
+        return index
+
+    def __iter__(self) -> Iterator[Job]:
+        """The pending jobs in submit order."""
+        return (job for job, _tier in self._jobs.values())
+
+    def add(self, job: Job, tier: int) -> None:
+        """Queue *job*, whose partition has priority tier *tier*."""
+        self._jobs[job.job_id] = (job, tier)
+        if tier == 0:
+            insort(self.tier0, _queue_entry(job))
+            return
+        begin = _begin(job)
+        heapq.heappush(self._future, (begin, job.job_id))
+        for name in _pins(job):
+            insort(self._begins.setdefault(name, []), begin)
+
+    def remove(self, job: Job) -> None:
+        """Drop *job*, which started or was cancelled."""
+        _job, tier = self._jobs.pop(job.job_id)
+        if tier == 0:
+            del self.tier0[bisect_left(self.tier0, _queue_entry(job))]
+            return
+        queue = self.due.get(tier, [])
+        at = bisect_left(queue, _queue_entry(job))
+        if at < len(queue) and queue[at][3] is job:
+            del queue[at]
+            if not queue:
+                del self.due[tier]
+        begin = _begin(job)
+        for name in _pins(job):
+            begins = self._begins[name]
+            del begins[bisect_left(begins, begin)]
+            if not begins:
+                del self._begins[name]
+
+    def promote(self, now: float) -> None:
+        """Move higher-tier jobs whose begin time has come into :attr:`due`."""
+        future = self._future
+        while future and future[0][0] <= now:
+            held = self._jobs.get(heapq.heappop(future)[1])
+            if held is not None:
+                job, tier = held
+                insort(self.due.setdefault(tier, []), _queue_entry(job))
+
+    def claims(self, now: float) -> Dict[str, float]:
+        """node name -> earliest instant a pending pinned higher-tier job
+        needs it (never before *now*): pinned jobs announce their begin
+        times as soon as they are submitted, so these bound tier-0 windows
+        even before the jobs become due."""
+        return {name: max(now, begins[0]) for name, begins in self._begins.items()}
+
+
 class BackfillScheduler:
-    """Plans one scheduling pass.  Stateless between passes (the RNG only
-    feeds the flexible-extension model)."""
+    """Plans one scheduling pass.
+
+    The queue state a pass reads between passes lives in the
+    :class:`PendingIndex` the controller maintains; the scheduler itself
+    keeps only its RNG, which feeds the flexible-extension model.
+    """
 
     def __init__(self, config: Optional[SchedulerConfig] = None, rng=None) -> None:
         self.config = config or SchedulerConfig()
@@ -127,7 +246,7 @@ class BackfillScheduler:
     def plan(
         self,
         now: float,
-        pending: Sequence[Job],
+        pending: Union[PendingIndex, Sequence[Job]],
         nodes: Dict[str, Node],
         partitions: Dict[str, Partition],
         committed: Dict[str, int],
@@ -136,19 +255,18 @@ class BackfillScheduler:
     ) -> SchedulingPlan:
         """Compute one pass.
 
-        ``committed`` maps node name → job id for nodes whose pilots are
-        already being preempted on behalf of a waiting job; such nodes are
-        untouchable by this pass (except by that waiting job itself).
+        ``pending`` is the controller's :class:`PendingIndex`; a plain
+        sequence of jobs is indexed first.  ``committed`` maps node name →
+        job id for nodes whose pilots are already being preempted on behalf
+        of a waiting job; such nodes are untouchable by this pass (except
+        by that waiting job itself).
         """
         plan = SchedulingPlan()
         cfg = self.config
-
-        # -- classify pending jobs by tier ------------------------------
-        def tier_of(job: Job) -> int:
-            return partitions[job.spec.partition].priority_tier
-
-        eligible = [j for j in pending if j.is_pending]
-        tiers = sorted({tier_of(j) for j in eligible}, reverse=True)
+        index = pending
+        if not isinstance(index, PendingIndex):
+            index = PendingIndex.of(pending, partitions)
+        index.promote(now)
 
         # -- availability maps -----------------------------------------
         # free_now: nodes idle and not committed to a waiting preemptor
@@ -158,39 +276,18 @@ class BackfillScheduler:
             if n.state is NodeState.IDLE and name not in committed
         }
         # claims[node] = earliest future instant a higher-tier job needs it
-        claims: Dict[str, float] = {}
+        claims = index.claims(now)
 
         def claim(node_name: str, when: float) -> None:
             prev = claims.get(node_name)
             if prev is None or when < prev:
                 claims[node_name] = when
 
-        # Future pinned jobs announce their begin times as soon as they are
-        # submitted (the scheduler knows the queue) — these bound tier-0
-        # windows even before the jobs become eligible.
-        for job in pending:
-            if not job.is_pending:
-                continue
-            if tier_of(job) == 0:
-                continue
-            if job.spec.required_nodes:
-                start_at = max(now, job.spec.begin_time if job.spec.begin_time is not None else job.submit_time)
-                for node_name in job.spec.required_nodes[: job.spec.num_nodes]:
-                    claim(node_name, start_at)
-
-        # -- Phase A: higher tiers, highest first ------------------------
+        # -- Phase A: due higher-tier jobs, highest tier first -----------
         reservations_left = cfg.max_reservations
-        for tier in tiers:
-            if tier == 0:
-                continue
-            tier_jobs = sorted(
-                (j for j in eligible if tier_of(j) == tier),
-                key=lambda j: (-j.spec.priority, j.submit_time, j.job_id),
-            )
-            for job in tier_jobs:
-                begin = job.spec.begin_time if job.spec.begin_time is not None else job.submit_time
-                if begin > now:
-                    continue  # not yet eligible; its claim is already mapped
+        for tier in sorted(index.due, reverse=True):
+            for entry in index.due[tier]:
+                job = entry[3]
                 placed = self._try_start_or_preempt(
                     now, job, tier, nodes, partitions, free_now, committed, plan
                 )
@@ -203,18 +300,15 @@ class BackfillScheduler:
 
         # -- Phase B: tier-0 backfill ------------------------------------
         if not include_tier0:
-            plan.reservations = dict(claims)
+            plan.reservations = claims
             return plan
         fixed_budget = cfg.max_fixed_starts_per_pass
         flex_budget = cfg.max_flex_starts_per_pass if include_flexible else 0
-        tier0_jobs = sorted(
-            (j for j in eligible if tier_of(j) == 0),
-            key=lambda j: (-j.spec.priority, j.submit_time, j.job_id),
-        )
         # window(node) = time until the earliest higher-tier claim
-        for job in tier0_jobs:
+        for entry in index.tier0:
             if not free_now:
                 break
+            job = entry[3]
             is_flex = job.spec.is_flexible
             if is_flex and flex_budget <= 0:
                 continue
@@ -232,7 +326,7 @@ class BackfillScheduler:
             else:
                 fixed_budget -= 1
 
-        plan.reservations = dict(claims)
+        plan.reservations = claims
         return plan
 
     # ------------------------------------------------------------------
@@ -372,7 +466,7 @@ class BackfillScheduler:
                     if vpart.preemptible:
                         end = now  # preemptable: effectively free now
                     start = max(start, end)
-            start = max(start, job.spec.begin_time if job.spec.begin_time is not None else job.submit_time)
+            start = max(start, _begin(job))
             for name in names:
                 claim(name, start)
             return
@@ -391,7 +485,7 @@ class BackfillScheduler:
         if len(frees) < want:
             return
         shadow = max(t for t, _ in frees[:want])
-        shadow = max(shadow, job.spec.begin_time if job.spec.begin_time is not None else job.submit_time)
+        shadow = max(shadow, _begin(job))
         for _, name in frees[:want]:
             claim(name, shadow)
 

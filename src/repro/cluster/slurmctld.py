@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.backfill import BackfillScheduler, SchedulerConfig, SchedulingPlan
+from repro.cluster.backfill import (
+    BackfillScheduler,
+    PendingIndex,
+    SchedulerConfig,
+    SchedulingPlan,
+)
 from repro.cluster.job import Job, JobSpec, JobState
 from repro.cluster.node import Node, NodeState
 from repro.cluster.partition import Partition, default_partitions
@@ -76,7 +81,8 @@ class SlurmController:
         self.scheduler = BackfillScheduler(self.config.scheduler, rng=rng)
         self.daemon = NodeDaemon(env, kill_wait=self.config.kill_wait)
 
-        self.pending: List[Job] = []
+        #: the pending queue, indexed for the backfill planner
+        self.queue = PendingIndex()
         self.running: Dict[int, JobExecution] = {}
         self.completed: List[Job] = []
         #: node name -> job id of the waiting job the node is being freed for
@@ -104,17 +110,26 @@ class SlurmController:
         if partition is None:
             raise ValueError(f"unknown partition {spec.partition!r}")
         partition.validate_time_limit(spec.time_limit)
+        if partition.priority_tier == 0 and (
+            spec.num_nodes > 1 or spec.required_nodes is not None or spec.begin_time is not None
+        ):
+            # Backfill places a tier-0 job on one free node as soon as it
+            # fits; it would silently ignore width, pins and begin time.
+            raise ValueError(
+                f"partition {spec.partition!r} is tier 0: its jobs take one node,"
+                " no required_nodes and no begin_time"
+            )
         job = Job(spec, submit_time=self.env.now)
-        self.pending.append(job)
+        self.queue.add(job, partition.priority_tier)
         self.request_pass()
         return job
 
     def cancel(self, job: Job) -> None:
         """``scancel``: withdraw a pending job or kill a running one."""
         if job.is_pending:
+            self.queue.remove(job)
             job.state = JobState.CANCELLED
             job.end_time = self.env.now
-            self.pending.remove(job)
             self.completed.append(job)
             self.committed = {
                 name: jid for name, jid in self.committed.items() if jid != job.job_id
@@ -122,9 +137,14 @@ class SlurmController:
         elif job.is_running:
             self.running[job.job_id].cancel()
 
+    @property
+    def pending(self) -> List[Job]:
+        """The pending jobs in submit order."""
+        return list(self.queue)
+
     def pending_jobs(self, partition: Optional[str] = None) -> List[Job]:
         """``squeue -t PD``-ish view."""
-        jobs = list(self.pending)
+        jobs = self.pending
         if partition is not None:
             jobs = [j for j in jobs if j.spec.partition == partition]
         return jobs
@@ -240,7 +260,7 @@ class SlurmController:
     def _run_pass(self, include_tier0: bool, include_flexible: bool) -> SchedulingPlan:
         plan = self.scheduler.plan(
             now=self.env.now,
-            pending=self.pending,
+            pending=self.queue,
             nodes=self.nodes,
             partitions=self.partitions,
             committed=self.committed,
@@ -265,7 +285,7 @@ class SlurmController:
     def _start_job(self, job: Job, nodes: Tuple[Node, ...], granted: float) -> None:
         if not job.is_pending:  # pragma: no cover - defensive
             return
-        self.pending.remove(job)
+        self.queue.remove(job)
         # Release every node held on this job's behalf (it is starting now,
         # possibly on a different set than was originally committed).
         self.committed = {

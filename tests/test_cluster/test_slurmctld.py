@@ -24,6 +24,25 @@ def test_partition_max_time_enforced_at_submit(env):
         controller.submit(JobSpec(name="x", partition="whisk", time_limit=7201.0))
 
 
+def test_tier0_job_wider_than_one_node_rejected(env):
+    controller = make_cluster(env)
+    with pytest.raises(ValueError, match="tier 0"):
+        controller.submit(JobSpec(name="x", partition="whisk", num_nodes=2))
+
+
+def test_tier0_job_with_begin_time_rejected(env):
+    controller = make_cluster(env)
+    with pytest.raises(ValueError, match="tier 0"):
+        controller.submit(JobSpec(name="x", partition="whisk", begin_time=1000.0))
+
+
+def test_tier0_job_pinned_to_nodes_rejected(env):
+    controller = make_cluster(env)
+    with pytest.raises(ValueError, match="tier 0"):
+        controller.submit(JobSpec(name="x", partition="whisk", required_nodes=("n0003",)))
+    assert controller.pending == []
+
+
 def test_job_runs_and_completes(env):
     controller = make_cluster(env)
     job = controller.submit(JobSpec(name="j", time_limit=600, actual_runtime=100))

@@ -1,13 +1,17 @@
-"""Exact kernel work per invocation on a fixed-seed fib day.
+"""Exact kernel and cluster work on fixed-seed fib days.
 
-Events and process spawns are deterministic for a seed, and identical
-under both queue implementations, with or without the event pool.  So
-they are pinned exactly: a change that adds kernel work to the
-per-invocation control plane (say, a process per broker message, or a
-timer per activation) fails here, not only in a wall-clock benchmark.
-A change that removes work updates the numbers below.
+Events, process spawns, scheduling passes and job starts are
+deterministic for a seed, and identical under both queue
+implementations, with or without the event pool.  So they are pinned
+exactly: a change that adds kernel work to the per-invocation control
+plane (say, a process per broker message, or a timer per activation), or
+that adds, skips or moves a backfill pass, fails here, not only in a
+wall-clock benchmark.  A change that removes work updates the numbers
+below.
 """
 
+from repro.cluster.backfill import BackfillScheduler
+from repro.cluster.slurmctld import SlurmController
 from repro.scenarios import REGISTRY, load_builtin
 from repro.sim.core import KERNEL_TOTALS
 from repro.sim.process import Process
@@ -22,16 +26,35 @@ EVENTS = 48055
 SPAWNS = 6892
 
 
+#: a shrunk ``harvest_300`` (see perf/run.py): 300 nodes at 0.5 req/s,
+#: where the queue holds ~250 pinned prime jobs ahead of their begin times
+HARVEST_PARAMS = dict(
+    model="fib", nodes=300, hours=0.5, qps=0.5, no_load=False, plot=False, seed=321
+)
+HARVEST_INVOCATIONS = 900
+HARVEST_EVENTS = 46951
+HARVEST_SPAWNS = 2423
+#: one BackfillScheduler.plan call per scheduling pass
+HARVEST_PASSES = 481
+HARVEST_STARTS = 560
+
+
+def count_calls(monkeypatch, cls, name):
+    """Count calls of ``cls.name`` for the rest of the test."""
+    calls = [0]
+    original = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
 def test_fib_day_kernel_work_per_invocation_is_pinned(monkeypatch):
     load_builtin()
-    spawns = [0]
-    original = Process.__init__
-
-    def counting_init(self, *args, **kwargs):
-        spawns[0] += 1
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Process, "__init__", counting_init)
+    spawns = count_calls(monkeypatch, Process, "__init__")
     before = KERNEL_TOTALS.events_processed
     result = REGISTRY.run("day", PARAMS, scale="full")
     events = KERNEL_TOTALS.events_processed - before
@@ -40,3 +63,17 @@ def test_fib_day_kernel_work_per_invocation_is_pinned(monkeypatch):
     assert (events, spawns[0]) == (EVENTS, SPAWNS)
     assert events / INVOCATIONS < 14.0
     assert spawns[0] / INVOCATIONS < 2.0
+
+
+def test_300_node_day_cluster_work_is_pinned(monkeypatch):
+    load_builtin()
+    spawns = count_calls(monkeypatch, Process, "__init__")
+    passes = count_calls(monkeypatch, BackfillScheduler, "plan")
+    starts = count_calls(monkeypatch, SlurmController, "_start_job")
+    before = KERNEL_TOTALS.events_processed
+    result = REGISTRY.run("day", HARVEST_PARAMS, scale="full")
+    events = KERNEL_TOTALS.events_processed - before
+
+    assert result.artifacts["result"].gatling.total == HARVEST_INVOCATIONS
+    assert (passes[0], starts[0]) == (HARVEST_PASSES, HARVEST_STARTS)
+    assert (events, spawns[0]) == (HARVEST_EVENTS, HARVEST_SPAWNS)
