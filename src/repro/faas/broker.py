@@ -3,7 +3,9 @@
 Provides what the paper's OpenWhisk deployment relies on:
 
 * named FIFO **topics** with consumer pull semantics (each invoker owns one
-  topic; the controller owns ``completed`` and ``health``),
+  topic; the controller owns ``health``),
+* **subscribed** topics whose one consumer is called with each message at
+  delivery instead of pulling it (the controller's ``completed``),
 * the global **fast-lane topic** shared by all invokers (Sec. III-C),
 * atomic **drain** of a topic (used when the controller re-routes a
   departing invoker's unpulled requests),
@@ -11,9 +13,10 @@ Provides what the paper's OpenWhisk deployment relies on:
   consumers ``publish_latency`` seconds after ``publish`` returns.
 
 A delayed publish is one kernel :class:`~repro.sim.Timeout` whose
-callback deposits the message into the topic.  No process is spawned per
-message, so a publish costs exactly one event.  Timeouts due at the same
-instant fire in scheduling order, which keeps each topic FIFO.
+callback deposits the message into the topic, or hands it to the topic's
+subscriber.  No process is spawned per message, so a publish costs
+exactly one event.  Timeouts due at the same instant fire in scheduling
+order, which keeps each topic FIFO.
 
 Replication, partitioning and broker failures are out of scope — the paper
 treats Kafka as reliable transport, and so do we (DESIGN.md §7).
@@ -21,7 +24,7 @@ treats Kafka as reliable transport, and so do we (DESIGN.md §7).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 from repro.sim import Environment, Store
 from repro.sim.resources import StoreGet
@@ -43,6 +46,8 @@ class Broker:
         self.env = env
         self.publish_latency = publish_latency
         self._topics: Dict[str, Store] = {}
+        #: topic -> its one consumer, called with each message at delivery
+        self._handlers: Dict[str, Callable[[Any], None]] = {}
         #: total messages ever published, per topic (diagnostics)
         self.published_counts: Dict[str, int] = {}
 
@@ -63,20 +68,33 @@ class Broker:
         return len(self.topic(name))
 
     # ------------------------------------------------------------------
+    def subscribe(self, name: str, handler: Callable[[Any], None]) -> None:
+        """Make *handler* the one consumer of topic *name*.
+
+        Every message published to the topic afterwards is passed to
+        ``handler(message)`` when its publish timer fires, instead of being
+        buffered for a pull.  Subscribe before the first publish.
+        """
+        if name in self._handlers:
+            raise ValueError(f"topic {name!r} already has a subscriber")
+        self._handlers[name] = handler
+
     def publish(self, name: str, message: Any) -> None:
         """Deliver *message* to *name* after the publish latency.
 
         Per-topic FIFO is preserved: deliveries are scheduled through the
         event queue, whose ordering is deterministic for equal timestamps.
-        A zero latency deposits the message before ``publish`` returns.
+        A zero latency delivers the message before ``publish`` returns.
         """
         self.published_counts[name] = self.published_counts.get(name, 0) + 1
-        store = self.topic(name)
+        deliver = self._handlers.get(name)
+        if deliver is None:
+            deliver = self.topic(name).put
         if self.publish_latency == 0:
-            store.put(message)
+            deliver(message)
             return
         self.env.timeout(self.publish_latency).callbacks.append(
-            lambda _event: store.put(message)
+            lambda _event: deliver(message)
         )
 
     def peek_depth(self, name: str) -> int:

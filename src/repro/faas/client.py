@@ -16,7 +16,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.faas.activation import ActivationResult, ActivationStatus
-from repro.faas.controller import Controller
+from repro.faas.controller import Controller, ResultCallback
 from repro.faas.messages import next_activation_id
 from repro.sim import Environment
 
@@ -27,6 +27,29 @@ class FaaSClient:
     def __init__(self, controller: Controller) -> None:
         self.controller = controller
 
+    def submit(
+        self,
+        function: str,
+        on_result: ResultCallback,
+        params: Any = None,
+        duration: Optional[float] = None,
+        interruptible: bool = True,
+        cluster: Optional[str] = None,
+    ) -> None:
+        """Non-blocking invocation: ``on_result`` receives the outcome.
+
+        ``cluster`` is an optional federation-member placement
+        preference (see :meth:`Controller.choose_invoker`).
+        """
+        self.controller.submit(
+            function,
+            on_result,
+            params=params,
+            duration=duration,
+            interruptible=interruptible,
+            cluster=cluster,
+        )
+
     def invoke(
         self,
         function: str,
@@ -35,11 +58,7 @@ class FaaSClient:
         interruptible: bool = True,
         cluster: Optional[str] = None,
     ):
-        """Blocking invocation (generator).
-
-        ``cluster`` is an optional federation-member placement
-        preference (see :meth:`Controller.choose_invoker`).
-        """
+        """Blocking invocation (generator); see :meth:`submit`."""
         result = yield from self.controller.invoke(
             function,
             params=params,
@@ -76,23 +95,41 @@ class CommercialCloud:
         self.overhead_sigma = overhead_sigma
         self.invocations = 0
 
-    def invoke(self, function: str, params: Any = None, duration: float = 0.01):
-        """Blocking invocation (generator); always succeeds."""
+    def submit(
+        self,
+        function: str,
+        on_result: ResultCallback,
+        params: Any = None,
+        duration: float = 0.01,
+    ) -> None:
+        """Non-blocking invocation; always succeeds."""
         env = self.env
         submitted = env.now
         self.invocations += 1
         overhead = float(
             self.rng.lognormal(math.log(self.overhead_median), self.overhead_sigma)
         )
-        yield env.timeout(duration * self.slowdown + overhead)
-        return ActivationResult(
-            activation_id=next_activation_id(),
-            function=function,
-            status=ActivationStatus.SUCCESS,
-            result={"ok": True},
-            response_time=env.now - submitted,
-            backend="commercial",
-        )
+
+        def finished(_timer) -> None:
+            on_result(
+                ActivationResult(
+                    activation_id=next_activation_id(),
+                    function=function,
+                    status=ActivationStatus.SUCCESS,
+                    result={"ok": True},
+                    response_time=env.now - submitted,
+                    backend="commercial",
+                )
+            )
+
+        env.timeout(duration * self.slowdown + overhead).callbacks.append(finished)
+
+    def invoke(self, function: str, params: Any = None, duration: float = 0.01):
+        """Blocking invocation (generator); see :meth:`submit`."""
+        done = self.env.event()
+        self.submit(function, done.succeed, params=params, duration=duration)
+        result = yield done
+        return result
 
 
 @dataclass
@@ -127,20 +164,39 @@ class Alg1Wrapper:
         self.last_503: float = -math.inf
         self.stats = Alg1Stats()
 
-    def invoke(self, function: str, params: Any = None, duration: Optional[float] = None):
-        """Blocking wrapped invocation (generator).  Mirrors Alg. 1."""
+    def submit(
+        self,
+        function: str,
+        on_result: ResultCallback,
+        params: Any = None,
+        duration: Optional[float] = None,
+    ) -> None:
+        """Non-blocking wrapped invocation.  Mirrors Alg. 1."""
         env = self.client.controller.env
-        while True:
-            if env.now - self.last_503 <= self.backoff:
-                self.stats.commercial_calls += 1
-                result = yield from self.commercial.invoke(
-                    function, params=params, duration=duration if duration is not None else 0.01
-                )
-                return result
-            self.stats.hpc_calls += 1
-            result = yield from self.client.invoke(function, params=params, duration=duration)
+        if env.now - self.last_503 <= self.backoff:
+            self.stats.commercial_calls += 1
+            self.commercial.submit(
+                function,
+                on_result,
+                params=params,
+                duration=duration if duration is not None else 0.01,
+            )
+            return
+
+        def hpc_result(result: ActivationResult) -> None:
             if result.status is ActivationStatus.UNAVAILABLE:
                 self.stats.rejections_503 += 1
                 self.last_503 = env.now
-                continue
-            return result
+                self.submit(function, on_result, params=params, duration=duration)
+                return
+            on_result(result)
+
+        self.stats.hpc_calls += 1
+        self.client.submit(function, hpc_result, params=params, duration=duration)
+
+    def invoke(self, function: str, params: Any = None, duration: Optional[float] = None):
+        """Blocking wrapped invocation (generator); see :meth:`submit`."""
+        done = self.client.controller.env.event()
+        self.submit(function, done.succeed, params=params, duration=duration)
+        result = yield done
+        return result

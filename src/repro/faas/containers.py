@@ -4,15 +4,16 @@ OpenWhisk keeps containers warm per function: a repeat invocation lands in
 an existing container in milliseconds, a first (or evicted) one pays the
 cold start.  The pool enforces the node's container capacity; when full,
 an idle container of another function is evicted, and if everything is
-busy the acquisition waits in FIFO order.
+busy the caller waits for a release in FIFO order.  The pool itself never
+blocks: :meth:`ContainerPool.take` answers at once, and the invoker's
+executions step through the start-up delays on kernel timers.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.faas.functions import FunctionDef
 from repro.faas.runtime import ContainerRuntime
 from repro.sim import Environment, Event
 
@@ -76,44 +77,52 @@ class ContainerPool:
         return max(candidates, key=lambda c: c.last_used)
 
     # ------------------------------------------------------------------
-    def acquire(self, function: FunctionDef):
-        """A process generator: yields until a container is available.
+    def take(self, function: str) -> Optional[Tuple[Container, bool]]:
+        """Non-blocking acquisition: ``(container, cold)`` or ``None``.
 
-        Returns ``(container, init_time)`` where *init_time* is the cold
-        start charged to the activation (0 for warm hits).
+        A warm hit returns the most recently used idle container of
+        *function*.  Otherwise a new container is created, when the pool
+        has room or an idle container of another function can be evicted
+        (least recently used first), and ``cold`` is True: the caller
+        waits out the runtime's cold start, then calls :meth:`started`.
+        ``None`` means every container is busy; :meth:`wait` for a
+        release and take again.
         """
-        env = self.env
-        while True:
-            container = self.warm_for(function.name)
-            if container is not None:
-                container.busy = True
-                container.last_used = env.now
-                self.warm_hits += 1
-                delay = self.runtime.warm_start_delay()
-                if delay:
-                    yield env.timeout(delay)
-                return container, 0.0
-
-            if self.size < self.capacity:
-                return (yield from self._create(function))
-
+        container = self.warm_for(function)
+        if container is not None:
+            container.busy = True
+            container.last_used = self.env.now
+            self.warm_hits += 1
+            return container, False
+        if self.size >= self.capacity:
             evictable = [c for c in self._containers if not c.busy]
-            if evictable:
-                victim = min(evictable, key=lambda c: c.last_used)
-                self._containers.remove(victim)
-                self.evictions += 1
-                return (yield from self._create(function))
+            if not evictable:
+                return None
+            victim = min(evictable, key=lambda c: c.last_used)
+            self._containers.remove(victim)
+            self.evictions += 1
+        container = Container(function, self.env.now)
+        container.busy = True
+        self._containers.append(container)
+        self.cold_starts += 1
+        return container, True
 
-            # Everything is busy: wait until someone releases.
-            waiter = Event(env)
-            self._waiters.append(waiter)
-            try:
-                yield waiter
-            except BaseException:
-                # interrupted while waiting (drain): withdraw cleanly
-                if waiter in self._waiters:
-                    self._waiters.remove(waiter)
-                raise
+    def started(self, container: Container) -> None:
+        """A cold container finished its start-up."""
+        container.last_used = self.env.now
+
+    def wait(self) -> Event:
+        """An event that the next :meth:`release` succeeds (FIFO)."""
+        waiter = Event(self.env)
+        self._waiters.append(waiter)
+        return waiter
+
+    def withdraw(self, waiter: Event) -> None:
+        """Give up a :meth:`wait`: dequeue it, or cancel its wake-up."""
+        if waiter in self._waiters:
+            self._waiters.remove(waiter)
+        else:
+            self.env.cancel(waiter)
 
     def release(self, container: Container) -> None:
         """Return a container to the warm set and wake one waiter."""
@@ -122,6 +131,11 @@ class ContainerPool:
         if self._waiters:
             self._waiters.pop(0).succeed()
 
+    def discard(self, container: Container) -> None:
+        """Drop a container whose cold start was cut short."""
+        if container in self._containers:
+            self._containers.remove(container)
+
     def destroy_all(self) -> None:
         """Tear down every container (invoker shutdown)."""
         self._containers.clear()
@@ -129,21 +143,3 @@ class ContainerPool:
             if not waiter.triggered:
                 waiter.succeed()
         self._waiters.clear()
-
-    # ------------------------------------------------------------------
-    def _create(self, function: FunctionDef):
-        env = self.env
-        container = Container(function.name, env.now)
-        container.busy = True
-        self._containers.append(container)
-        self.cold_starts += 1
-        init = self.runtime.cold_start_delay()
-        try:
-            yield env.timeout(init)
-        except BaseException:
-            # interrupted mid-cold-start: the half-built container is junk
-            if container in self._containers:
-                self._containers.remove(container)
-            raise
-        container.last_used = env.now
-        return container, init

@@ -24,7 +24,7 @@ import enum
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from repro.faas.messages import (
 )
 from repro.sim import Environment, Event
 
-#: what a timed-out activation's ``done`` event settles with
-_TIMED_OUT = object()
+#: what :meth:`Controller.submit` calls with the activation's outcome
+ResultCallback = Callable[[ActivationResult], None]
 
 
 class InvokerStatus(enum.Enum):
@@ -125,7 +125,8 @@ class Controller:
         self._healthy_view: Optional[Dict[str, List[str]]] = None
         #: in-flight activation count per member cluster ("" = unfederated)
         self._inflight_by_cluster: Dict[str, int] = {}
-        self._pending: Dict[str, Tuple[Event, ActivationRecord]] = {}
+        #: activation_id -> (result callback, record) per accepted activation
+        self._pending: Dict[str, Tuple[ResultCallback, ActivationRecord]] = {}
         #: ``(deadline, activation_id)`` per accepted activation, in
         #: submit order (and so in deadline order)
         self._deadlines: Deque[Tuple[float, str]] = deque()
@@ -138,7 +139,7 @@ class Controller:
         #: second-accurate event log (registrations, drains, losses, 503s)
         self.events: List[ControllerEvent] = []
 
-        env.process(self._completion_consumer())
+        broker.subscribe(COMPLETED_TOPIC, self._on_completion)
         env.process(self._health_consumer())
         env.process(self._ping_scanner())
 
@@ -246,9 +247,9 @@ class Controller:
             return len(self._pending)
         return self._inflight_by_cluster.get(cluster, 0)
 
-    def _pending_add(self, done: Event, record: ActivationRecord) -> None:
+    def _pending_add(self, on_result: ResultCallback, record: ActivationRecord) -> None:
         """Track an accepted activation (and its member inflight count)."""
-        self._pending[record.activation_id] = (done, record)
+        self._pending[record.activation_id] = (on_result, record)
         self._inflight_by_cluster[record.cluster_id] = (
             self._inflight_by_cluster.get(record.cluster_id, 0) + 1
         )
@@ -288,12 +289,14 @@ class Controller:
 
         Completed heads are dropped on the way.  A timed-out activation
         leaves ``_pending`` here, at its deadline, so a completion that
-        arrives later is dropped by the consumer.
+        arrives later is dropped by :meth:`_on_completion`.  The result
+        callbacks run last, once the ledger is consistent again.
         """
         self._deadline_timer = None
         now = self.env.now
         deadlines = self._deadlines
         pending = self._pending
+        expired = []
         while deadlines:
             due, activation_id = deadlines[0]
             entry = pending.get(activation_id)
@@ -306,14 +309,25 @@ class Controller:
                 # due <= 2 * now: the difference is exact (Sterbenz)
                 # and the timer lands on `due` itself.
                 self._deadline_arm(due - now)
-                return
+                break
             deadlines.popleft()
             del pending[activation_id]
-            done, record = entry
+            record = entry[1]
             self._inflight_dec(record)
             record.status = ActivationStatus.TIMEOUT
             record.completed_at = now
-            done.succeed(_TIMED_OUT)
+            expired.append(entry)
+        for on_result, record in expired:
+            on_result(
+                ActivationResult(
+                    activation_id=record.activation_id,
+                    function=record.function,
+                    status=ActivationStatus.TIMEOUT,
+                    error="activation timed out",
+                    response_time=now - record.submitted_at,
+                    fast_laned=record.fast_laned,
+                )
+            )
 
     # ------------------------------------------------------------------
     # invocation path
@@ -344,28 +358,34 @@ class Controller:
             return self.load_balancer.choose(function, pools[cluster], self.broker)
         return self.load_balancer.choose(function, self.healthy_invokers(), self.broker)
 
-    def invoke(
+    def submit(
         self,
         function: str,
+        on_result: ResultCallback,
         params: Any = None,
         duration: Optional[float] = None,
         interruptible: bool = True,
         cluster: Optional[str] = None,
-    ):
-        """A process generator: performs one blocking invocation.
+    ) -> None:
+        """Start one invocation; ``on_result`` receives its outcome.
 
-        Yields until the result arrives, the activation times out, or —
-        with no healthy invoker — immediately returns a 503 result.
+        The callback runs with the :class:`ActivationResult` when the
+        completion is delivered or the activation times out, or before
+        ``submit`` returns for an undeployed function or a 503 (no healthy
+        invoker).
         """
         env = self.env
         submitted = env.now
         if function not in self.registry:
-            return ActivationResult(
-                activation_id="",
-                function=function,
-                status=ActivationStatus.FAILED,
-                error=f"function {function!r} is not deployed",
+            on_result(
+                ActivationResult(
+                    activation_id="",
+                    function=function,
+                    status=ActivationStatus.FAILED,
+                    error=f"function {function!r} is not deployed",
+                )
             )
+            return
         target = self.choose_invoker(function, cluster=cluster)
         if target is None:
             self.unavailable_count += 1
@@ -375,13 +395,16 @@ class Controller:
                         time=env.now, kind="503", detail={"function": function}
                     )
                 )
-            return ActivationResult(
-                activation_id="",
-                function=function,
-                status=ActivationStatus.UNAVAILABLE,
-                error="no healthy invoker (503)",
-                response_time=0.0,
+            on_result(
+                ActivationResult(
+                    activation_id="",
+                    function=function,
+                    status=ActivationStatus.UNAVAILABLE,
+                    error="no healthy invoker (503)",
+                    response_time=0.0,
+                )
             )
+            return
 
         activation_id = next_activation_id()
         message = ActivationMessage(
@@ -407,57 +430,71 @@ class Controller:
         )
         if self.config.record_history:
             self.records.append(record)
-        done = env.event()
-        self._pending_add(done, record)
+        self._pending_add(on_result, record)
         self.broker.publish(self.invoker_topic(target), message)
         self._deadline_add(activation_id)
 
-        completion = yield done
-        if completion is _TIMED_OUT:
-            return ActivationResult(
-                activation_id=activation_id,
-                function=function,
-                status=ActivationStatus.TIMEOUT,
-                error="activation timed out",
-                response_time=env.now - submitted,
+    def invoke(
+        self,
+        function: str,
+        params: Any = None,
+        duration: Optional[float] = None,
+        interruptible: bool = True,
+        cluster: Optional[str] = None,
+    ):
+        """A process generator: :meth:`submit`, then wait for the result.
+
+        Yields until the result arrives, the activation times out, or —
+        with no healthy invoker — the 503 result is ready.
+        """
+        done = self.env.event()
+        self.submit(
+            function,
+            done.succeed,
+            params=params,
+            duration=duration,
+            interruptible=interruptible,
+            cluster=cluster,
+        )
+        result = yield done
+        return result
+
+    # ------------------------------------------------------------------
+    # consumers
+    # ------------------------------------------------------------------
+    def _on_completion(self, completion: CompletionMessage) -> None:
+        """Resolve an activation when its completion is delivered."""
+        entry = self._pending.pop(completion.activation_id, None)
+        if entry is None:
+            return  # late completion after timeout: dropped
+        on_result, record = entry
+        self._inflight_dec(record)
+        if not self._pending:
+            self._deadlines_clear()
+        now = self.env.now
+        status = ActivationStatus.SUCCESS if completion.success else ActivationStatus.FAILED
+        record.completed_at = now
+        record.status = status
+        record.wait_time = completion.wait_time
+        record.init_time = completion.init_time
+        record.duration = completion.duration
+        record.invoker_id = completion.invoker_id
+        record.fast_laned = record.fast_laned or completion.fast_laned
+        on_result(
+            ActivationResult(
+                activation_id=record.activation_id,
+                function=record.function,
+                status=status,
+                result=completion.result,
+                error=completion.error,
+                response_time=now - record.submitted_at,
                 fast_laned=record.fast_laned,
             )
-        status = ActivationStatus.SUCCESS if completion.success else ActivationStatus.FAILED
-        return ActivationResult(
-            activation_id=activation_id,
-            function=function,
-            status=status,
-            result=completion.result,
-            error=completion.error,
-            response_time=env.now - submitted,
-            fast_laned=record.fast_laned,
         )
 
     # ------------------------------------------------------------------
     # consumers
     # ------------------------------------------------------------------
-    def _completion_consumer(self):
-        env = self.env
-        while True:
-            completion: CompletionMessage = yield self.broker.get(COMPLETED_TOPIC)
-            entry = self._pending.pop(completion.activation_id, None)
-            if entry is None:
-                continue  # late completion after timeout: dropped
-            done, record = entry
-            self._inflight_dec(record)
-            if not self._pending:
-                self._deadlines_clear()
-            record.completed_at = env.now
-            record.status = (
-                ActivationStatus.SUCCESS if completion.success else ActivationStatus.FAILED
-            )
-            record.wait_time = completion.wait_time
-            record.init_time = completion.init_time
-            record.duration = completion.duration
-            record.invoker_id = completion.invoker_id
-            record.fast_laned = record.fast_laned or completion.fast_laned
-            done.succeed(completion)
-
     def _health_consumer(self):
         env = self.env
         while True:
@@ -496,15 +533,15 @@ class Controller:
                     self._pool_remove(record)
                     moved = 0
                     if self.config.use_fast_lane:
-                        moved = self.broker.move_all(
-                            self.invoker_topic(ping.invoker_id), FASTLANE_TOPIC
-                        )
-                    for message in self.broker.topic(FASTLANE_TOPIC).peek_all():
-                        if isinstance(message, ActivationMessage):
+                        # Flag before the move: a waiting invoker's claim
+                        # may take a message inside move_all itself.
+                        source = self.invoker_topic(ping.invoker_id)
+                        for message in self.broker.topic(source).peek_all():
                             message.fast_laned = True
                             entry = self._pending.get(message.activation_id)
                             if entry is not None:
                                 entry[1].fast_laned = True
+                        moved = self.broker.move_all(source, FASTLANE_TOPIC)
                     self.events.append(
                         ControllerEvent(
                             env.now,

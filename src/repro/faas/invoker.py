@@ -1,38 +1,48 @@
 """The invoker: one FaaS worker on one (transiently idle) node.
 
-The serve loop pulls the **fast lane first**, then its own topic
-(Sec. III-C), and spawns one executor per activation; executors serialize
-on the container pool.  On SIGTERM the pilot job calls :meth:`drain`:
+Work reaches the invoker without a process of its own.  While serving it
+holds one :class:`~repro.sim.resources.StoreClaim` on the fast lane and
+one on its own topic (Sec. III-C).  The first message either claim takes
+schedules one wake-up event; the wake accepts the claimed messages, fast
+lane first, and claims again.  Each accepted activation becomes an
+:class:`_Execution` record that steps through pool wait, warm or cold
+start and the function run on kernel timers; the pool never blocks.
+
+On SIGTERM the pilot job calls :meth:`drain`:
 
 1. notify the controller (it stops routing here and moves the unpulled
    topic remainder to the fast lane),
-2. republish the internal buffer — executors that have not started a
-   function body — to the fast lane,
-3. interrupt the *running* executions too, when both the deployment and
-   the message allow it, and republish them,
+2. republish what the claims had taken and the executions that have not
+   started a function body to the fast lane,
+3. stop the *running* executions too, when both the deployment and the
+   message allow it, and republish them,
 4. wait out non-interruptible executions (SIGKILL may cut this short —
    then those activations are simply lost and time out at the controller),
 5. deregister.
 
-The whole handoff takes "a few seconds" in the paper; the step delays are
-configurable in :class:`~repro.faas.config.FaaSConfig`.
+Stopping an execution is a state change: its pending timer is cancelled,
+a pool wait is withdrawn, a half-built cold container is discarded and a
+held container is released.  The whole handoff takes "a few seconds" in
+the paper; the step delays are configurable in
+:class:`~repro.faas.config.FaaSConfig`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.faas.broker import Broker, COMPLETED_TOPIC, FASTLANE_TOPIC, HEALTH_TOPIC
 from repro.faas.config import FaaSConfig
-from repro.faas.containers import ContainerPool
-from repro.faas.functions import FunctionRegistry
+from repro.faas.containers import Container, ContainerPool
+from repro.faas.functions import FunctionDef, FunctionRegistry
 from repro.faas.messages import ActivationMessage, CompletionMessage, PingMessage
 from repro.faas.runtime import ContainerRuntime, SingularityRuntime
-from repro.sim import Environment, Interrupt, Process
+from repro.sim import Environment, Event, Interrupt
+from repro.sim.resources import StoreClaim
 
 
 @dataclass
@@ -64,13 +74,127 @@ class InvokerStats:
         return max(0.0, end - self.registered_at)
 
 
-class _Requeue(Exception):
-    """Interrupt cause telling an executor to hand its message back."""
+class _Execution:
+    """One accepted activation, stepped by kernel callbacks.
 
+    Phases: waiting for a container (``event`` is a pool waiter and
+    ``container`` is None), starting (``event`` is the warm- or
+    cold-start timer), running (``running`` is True and ``event`` is the
+    run timer), finished (``event`` is None and the record has left the
+    invoker's table).
+    """
 
-class _Kill(Exception):
-    """Interrupt cause telling an executor to die silently (crash/SIGKILL):
-    no completion is published — the activation is simply lost."""
+    __slots__ = (
+        "invoker",
+        "message",
+        "function",
+        "accepted_at",
+        "container",
+        "cold",
+        "init_time",
+        "wait_time",
+        "duration",
+        "running",
+        "event",
+    )
+
+    def __init__(self, invoker: "Invoker", message: ActivationMessage) -> None:
+        self.invoker = invoker
+        self.message = message
+        self.function: Optional[FunctionDef] = None
+        self.accepted_at = invoker.env.now
+        self.container: Optional[Container] = None
+        self.cold = False
+        self.init_time = 0.0
+        self.wait_time = 0.0
+        self.duration = 0.0
+        self.running = False
+        self.event: Optional[Event] = None
+
+    def start(self) -> None:
+        """The first step, run inline when the invoker accepts the message."""
+        invoker = self.invoker
+        try:
+            self.function = invoker.registry.get(self.message.function)
+        except KeyError as exc:
+            invoker._complete(self.message, success=False, error=str(exc))
+            invoker._finish(self)
+            return
+        self._acquire()
+
+    def _acquire(self, _event: Optional[Event] = None) -> None:
+        pool = self.invoker.pool
+        taken = pool.take(self.function.name)
+        if taken is None:
+            waiter = pool.wait()
+            waiter.callbacks.append(self._acquire)
+            self.event = waiter
+            return
+        self.container, self.cold = taken
+        if self.cold:
+            self.init_time = pool.runtime.cold_start_delay()
+            self._arm(self.init_time, self._started)
+            return
+        delay = pool.runtime.warm_start_delay()
+        if delay:
+            self._arm(delay, self._started)
+        else:
+            self._run()
+
+    def _started(self, _timer: Event) -> None:
+        if self.cold:
+            self.invoker.pool.started(self.container)
+        self._run()
+
+    def _run(self) -> None:
+        invoker = self.invoker
+        self.running = True
+        self.wait_time = invoker.env.now - self.accepted_at
+        message = self.message
+        self.duration = (
+            message.duration
+            if message.duration is not None
+            else self.function.sample_duration(invoker.rng)
+        )
+        overhead = invoker._sample_overhead()
+        self._arm(self.duration + overhead, self._done)
+
+    def _done(self, _timer: Event) -> None:
+        invoker = self.invoker
+        self.event = None
+        invoker.pool.release(self.container)
+        self.container = None
+        invoker._complete(
+            self.message,
+            success=True,
+            result={"ok": True},
+            wait_time=self.wait_time,
+            init_time=self.init_time,
+            duration=self.duration,
+        )
+        invoker.stats.completed += 1
+        invoker._finish(self)
+
+    def _arm(self, delay: float, callback: Callable[[Event], None]) -> None:
+        timer = self.invoker.env.timeout(delay)
+        timer.callbacks.append(callback)
+        self.event = timer
+
+    def stop(self) -> None:
+        """Drop the execution where it stands (drain requeue or kill)."""
+        event, self.event = self.event, None
+        if event is None:
+            return
+        pool = self.invoker.pool
+        container, self.container = self.container, None
+        if container is None:
+            pool.withdraw(event)
+            return
+        self.invoker.env.cancel(event)
+        if self.cold and not self.running:
+            pool.discard(container)
+        else:
+            pool.release(container)
 
 
 class Invoker:
@@ -102,16 +226,23 @@ class Invoker:
         self.topic = f"invoker-{invoker_id}"
         self.stats = InvokerStats(invoker_id=invoker_id, node=node, started_at=env.now)
         self._draining = False
-        #: activation_id -> (executor process, message, phase holder)
-        self._executors: Dict[str, Tuple[Process, ActivationMessage, List[str]]] = {}
-        self._ping_proc: Optional[Process] = None
-        #: messages rescued from an interrupted pull (drain handles them)
+        #: activation_id -> execution, in accept order
+        self._executions: Dict[str, _Execution] = {}
+        #: the heartbeat's pending timer
+        self._ping_timer: Optional[Event] = None
+        #: the serving claims, fast lane first
+        self._claims: List[StoreClaim] = []
+        #: the one pending wake-up for claimed messages
+        self._wake: Optional[Event] = None
+        #: messages claimed but not accepted when SIGTERM came (drain handles them)
         self._orphans: List[ActivationMessage] = []
+        #: what the drain waits on until the last non-interruptible run ends
+        self._idle: Optional[Event] = None
 
     # ------------------------------------------------------------------
     @property
     def in_flight(self) -> int:
-        return len(self._executors)
+        return len(self._executions)
 
     def register(self):
         """Announce this worker; start heartbeats.  (Generator.)"""
@@ -126,19 +257,31 @@ class Invoker:
             ),
         )
         self.stats.registered_at = self.env.now
-        self._ping_proc = self.env.process(self._heartbeat())
+        self._arm_heartbeat()
         # Registration becomes effective when the controller consumes the
         # ping — one publish latency away.
         yield self.env.timeout(self.broker.publish_latency)
 
     def serve(self):
-        """Main loop (generator).  Runs until interrupted by the pilot."""
+        """Serve until the pilot's SIGTERM (generator).
+
+        Claims and their wake-ups do the work; this only parks the pilot
+        process.  On the interrupt, messages the claims already took
+        become orphans, which the drain republishes instead of losing.
+        """
+        self._claim()
         try:
-            while True:
-                messages = yield from self._pull()
-                for message in messages:
-                    self._accept(message)
+            yield self.env.event()
         except Interrupt:
+            for claim in self._claims:
+                if claim.taken:
+                    self._orphans.append(claim.item)
+                else:
+                    claim.cancel()
+            self._claims = []
+            if self._wake is not None:
+                self.env.cancel(self._wake)
+                self._wake = None
             raise  # the pilot's SIGTERM; drain() takes over
 
     def drain(self):
@@ -163,24 +306,25 @@ class Invoker:
                 ),
             )
 
-            # 2. + 3. Interrupt executors that may be requeued.
-            for activation_id, (proc, message, phase) in list(self._executors.items()):
-                if phase[0] == "running" and not (
-                    cfg.interrupt_running and message.interruptible
+            # 2. + 3. Stop the executions that may be requeued.
+            stopped = []
+            for execution in self._executions.values():
+                if execution.running and not (
+                    cfg.interrupt_running and execution.message.interruptible
                 ):
                     continue  # must let it finish
-                if proc.is_alive:
-                    proc.interrupt(_Requeue())
+                execution.stop()
+                stopped.append(execution)
 
             # Republish rescued + requeued messages onto the fast lane.
             requeue = list(self._orphans)
             self._orphans.clear()
-            # Give interrupted executors their (URGENT) wakeups: one tick.
+            # Republishing starts one zero-delay tick after the stops, which
+            # fixes where it falls among other same-instant events.
             yield env.timeout(0.0)
-            for activation_id, (proc, message, phase) in list(self._executors.items()):
-                if phase[0] == "requeued":
-                    requeue.append(message)
-                    del self._executors[activation_id]
+            for execution in stopped:
+                requeue.append(execution.message)
+                del self._executions[execution.message.activation_id]
             for message in requeue:
                 if not cfg.use_fast_lane:
                     # Stock OpenWhisk: the message is simply lost; the
@@ -196,16 +340,16 @@ class Invoker:
                 yield env.timeout(cfg.drain_republish_delay)
 
             # 4. Wait for non-interruptible executions to finish.
-            remaining = [proc for proc, _m, _p in self._executors.values() if proc.is_alive]
-            if remaining:
-                yield env.all_of(remaining)
+            if self._executions:
+                self._idle = env.event()
+                yield self._idle
 
             # 5. Deregister.
             yield env.timeout(cfg.drain_deregister_delay)
         except Interrupt:
             # SIGKILL arrived mid-drain: everything still tracked is lost.
-            self.stats.abandoned_on_kill += len(self._executors) + len(self._orphans)
-            self._kill_executors()
+            self.stats.abandoned_on_kill += len(self._executions) + len(self._orphans)
+            self._kill_executions()
             self._orphans.clear()
         self._shutdown()
         return self.stats
@@ -215,23 +359,21 @@ class Invoker:
         controller must discover the loss via missed pings, and anything
         in flight is simply gone."""
         self._draining = True
-        if self._ping_proc is not None and self._ping_proc.is_alive:
-            self._ping_proc.interrupt("node_fail")
-        self.stats.abandoned_on_kill += len(self._executors) + len(self._orphans)
-        self._kill_executors()
+        self._stop_heartbeat()
+        self.stats.abandoned_on_kill += len(self._executions) + len(self._orphans)
+        self._kill_executions()
         self._orphans.clear()
         self.pool.destroy_all()
         self.stats.cold_starts = self.pool.cold_starts
         self.stats.warm_hits = self.pool.warm_hits
 
-    def _kill_executors(self) -> None:
-        """Terminate every in-flight execution without completions: the
-        processes must not keep computing (and publishing!) after the
-        worker is gone."""
-        for _aid, (proc, _message, _phase) in list(self._executors.items()):
-            if proc.is_alive:
-                proc.interrupt(_Kill())
-        self._executors.clear()
+    def _kill_executions(self) -> None:
+        """Stop every in-flight execution without completions: nothing may
+        keep computing (and publishing!) after the worker is gone."""
+        for execution in self._executions.values():
+            execution.stop()
+        self._executions.clear()
+        self._idle = None
 
     def abort(self) -> None:
         """Immediate teardown without the handoff (e.g. SIGTERM arrived
@@ -256,62 +398,66 @@ class Invoker:
             ),
         )
         self.stats.deregistered_at = env.now
-        if self._ping_proc is not None and self._ping_proc.is_alive:
-            self._ping_proc.interrupt("shutdown")
+        self._stop_heartbeat()
         self.pool.destroy_all()
         self.stats.cold_starts = self.pool.cold_starts
         self.stats.warm_hits = self.pool.warm_hits
 
-    def _heartbeat(self):
-        env = self.env
-        try:
-            while True:
-                yield env.timeout(self.config.ping_interval)
-                kind = "healthy" if not self._draining else "draining"
-                self.broker.publish(
-                    HEALTH_TOPIC,
-                    PingMessage(
-                        self.invoker_id,
-                        kind,
-                        env.now,
-                        node=self.node,
-                        cluster=self.cluster_id,
-                        free_slots=self.config.max_containers - self.pool.busy_count,
-                    ),
-                )
-        except Interrupt:
-            return
+    def _arm_heartbeat(self) -> None:
+        timer = self.env.timeout(self.config.ping_interval)
+        timer.callbacks.append(self._heartbeat)
+        self._ping_timer = timer
 
-    def _pull(self):
-        """Block until at least one message is available; fast lane first.
+    def _stop_heartbeat(self) -> None:
+        if self._ping_timer is not None:
+            self.env.cancel(self._ping_timer)
+            self._ping_timer = None
 
-        If the pilot's SIGTERM lands exactly when a getter has already
-        popped a message, that message is stashed in ``_orphans`` so the
-        drain republishes it instead of losing it.
-        """
-        getters = []
+    def _heartbeat(self, _timer: Event) -> None:
+        kind = "healthy" if not self._draining else "draining"
+        self.broker.publish(
+            HEALTH_TOPIC,
+            PingMessage(
+                self.invoker_id,
+                kind,
+                self.env.now,
+                node=self.node,
+                cluster=self.cluster_id,
+                free_slots=self.config.max_containers - self.pool.busy_count,
+            ),
+        )
+        self._arm_heartbeat()
+
+    def _claim(self) -> None:
+        """Claim the next message of each topic, fast lane first."""
+        claims = []
         if self.config.use_fast_lane:
-            getters.append(self.broker.topic(FASTLANE_TOPIC).get())
-        getters.append(self.broker.topic(self.topic).get())
-        try:
-            yield self.env.any_of(getters)
-        except Interrupt:
-            for getter in getters:
-                if getter.triggered:
-                    self._orphans.append(getter.value)
-                else:
-                    getter.cancel()
-            raise
-        messages: List[ActivationMessage] = []
-        for getter in getters:
-            if getter.triggered:
-                messages.append(getter.value)
+            claims.append(self.broker.topic(FASTLANE_TOPIC).claim(self._on_claim))
+        claims.append(self.broker.topic(self.topic).claim(self._on_claim))
+        self._claims = claims
+
+    def _on_claim(self, _message: ActivationMessage) -> None:
+        """A claim took a message: make sure one wake-up is pending."""
+        if self._wake is None:
+            wake = self.env.timeout(0.0)
+            wake.callbacks.append(self._on_wake)
+            self._wake = wake
+
+    def _on_wake(self, _wake: Event) -> None:
+        """Accept what the claims took (at most one per topic), claim again."""
+        self._wake = None
+        messages = []
+        for claim in self._claims:
+            if claim.taken:
+                messages.append(claim.item)
             else:
-                getter.cancel()
-        return messages
+                claim.cancel()
+        for message in messages:
+            self._accept(message)
+        self._claim()
 
     def _accept(self, message: ActivationMessage) -> None:
-        """Admission control + executor spawn."""
+        """Admission control, then the execution's first step."""
         if self._draining:
             self._orphans.append(message)
             return
@@ -321,54 +467,16 @@ class Invoker:
             self.stats.rejected_overload += 1
             self._complete(message, success=False, error="invoker overloaded")
             return
-        phase = ["waiting"]
-        proc = self.env.process(self._execute(message, phase))
-        proc.name = f"exec-{message.activation_id}"
-        self._executors[message.activation_id] = (proc, message, phase)
+        execution = _Execution(self, message)
+        self._executions[message.activation_id] = execution
+        execution.start()
 
-    def _execute(self, message: ActivationMessage, phase: List[str]):
-        env = self.env
-        accepted_at = env.now
-        container = None
-        try:
-            try:
-                function = self.registry.get(message.function)
-            except KeyError as exc:
-                self._complete(message, success=False, error=str(exc))
-                return
-            container, init_time = yield from self.pool.acquire(function)
-            phase[0] = "running"
-            wait_time = env.now - accepted_at
-            duration = (
-                message.duration
-                if message.duration is not None
-                else function.sample_duration(self.rng)
-            )
-            overhead = self._sample_overhead()
-            yield env.timeout(duration + overhead)
-            self.pool.release(container)
-            container = None
-            self._complete(
-                message,
-                success=True,
-                result={"ok": True},
-                wait_time=wait_time,
-                init_time=init_time,
-                duration=duration,
-            )
-            self.stats.completed += 1
-        except Interrupt as interrupt:
-            if container is not None:
-                self.pool.release(container)
-            if isinstance(interrupt.cause, _Requeue):
-                phase[0] = "requeued"
-                return
-            if isinstance(interrupt.cause, _Kill):
-                return  # crash: no completion, the activation is lost
-            raise
-        finally:
-            if phase[0] != "requeued":
-                self._executors.pop(message.activation_id, None)
+    def _finish(self, execution: _Execution) -> None:
+        """An execution completed: drop it, and end the drain's wait."""
+        del self._executions[execution.message.activation_id]
+        if self._idle is not None and not self._executions:
+            idle, self._idle = self._idle, None
+            idle.succeed()
 
     def _sample_overhead(self) -> float:
         cfg = self.config

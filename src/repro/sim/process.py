@@ -51,8 +51,7 @@ class Process(Event):
             not hasattr(generator, "send") or not hasattr(generator, "throw")
         ):
             raise TypeError(f"{generator!r} is not a generator")
-        # Flattened Event.__init__ — one Python call saved per spawn,
-        # and process churn spawns one of these per simulated request.
+        # Flattened Event.__init__ — one Python call saved per spawn.
         self.env = env
         self.callbacks = []
         self._value = _PENDING
@@ -69,7 +68,7 @@ class Process(Event):
         # Bootstrap: resume the generator at the next instant.  Pulled
         # from the environment's event pool (process churn recycles one
         # bootstrap event per spawn), pre-succeeded and URGENT-scheduled
-        # in one step — this runs once per simulated request/job/tick.
+        # in one step — this runs once per spawn.
         #: the event this process currently waits on (None when resuming)
         self._target: Optional[Event] = env._init_event(resume)
 

@@ -4,8 +4,9 @@ These are the coordination primitives the higher layers build on:
 
 * :class:`Resource` — a counting semaphore with FIFO queuing (container
   concurrency slots inside an invoker).
-* :class:`Store` — an unbounded FIFO buffer with blocking ``get``; the
-  message broker's topics are stores.
+* :class:`Store` — an unbounded FIFO buffer with blocking ``get``, or a
+  :class:`StoreClaim` that hands the next item to a callback without an
+  event; the message broker's topics are stores.
 * :class:`FilterStore` — ``get`` with a predicate.
 * :class:`PriorityStore` — ``get`` returns the smallest item.
 
@@ -135,13 +136,57 @@ class StoreGet(Event):
             pass
 
 
+_UNTAKEN = object()
+
+
+class StoreClaim:
+    """A callback getter: takes the next item at put time, schedules nothing.
+
+    The claim joins the store's getter FIFO exactly where a
+    :class:`StoreGet` created at the same moment would, so it takes the
+    same item.  Instead of settling an event, it records the item in
+    :attr:`item` and calls ``callback(item)`` from inside the ``put`` (or
+    inside :meth:`Store.claim` itself, when an item is already buffered).
+    One claim takes one item; claim again for the next.
+    """
+
+    __slots__ = ("store", "callback", "predicate", "item")
+
+    def __init__(self, store: "Store", callback: Callable[[Any], None]) -> None:
+        self.store = store
+        self.callback = callback
+        #: a claim matches any item (the store's dispatch reads this)
+        self.predicate = None
+        self.item: Any = _UNTAKEN
+        store._getters.append(self)
+        store._dispatch()
+
+    @property
+    def taken(self) -> bool:
+        """True once the claim holds an item."""
+        return self.item is not _UNTAKEN
+
+    def succeed(self, item: Any) -> None:
+        """Take *item* (the getter method the store's dispatch calls)."""
+        self.item = item
+        self.callback(item)
+
+    def cancel(self) -> None:
+        """Withdraw a claim that has not taken an item yet."""
+        try:
+            self.store._getters.remove(self)
+        except ValueError:
+            pass
+
+
 class Store:
     """Unbounded FIFO store: ``put`` is immediate, ``get`` may block."""
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.items: list[Any] = []
-        self._getters: list[StoreGet] = []
+        #: waiting :class:`StoreGet` events and :class:`StoreClaim` callbacks
+        self._getters: list[Any] = []
 
     def __len__(self) -> int:
         return len(self.items)
@@ -154,6 +199,10 @@ class Store:
     def get(self) -> StoreGet:
         """Return an event that settles with the next available item."""
         return StoreGet(self)
+
+    def claim(self, callback: Callable[[Any], None]) -> StoreClaim:
+        """Queue a :class:`StoreClaim` that hands the next item to *callback*."""
+        return StoreClaim(self, callback)
 
     def peek_all(self) -> list[Any]:
         """Snapshot of buffered items (does not consume them)."""

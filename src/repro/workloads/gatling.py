@@ -10,6 +10,7 @@ aggregation of Figs 5b/6b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -116,10 +117,11 @@ class GatlingReport:
 class GatlingClient:
     """Constant-rate open-model injector.
 
-    ``target`` is anything exposing ``invoke(function, duration=...)`` as a
-    process generator returning an
+    ``target`` is anything exposing ``submit(function, on_result,
+    duration=...)``, which calls ``on_result`` with the request's
     :class:`~repro.faas.activation.ActivationResult` — the plain
-    :class:`~repro.faas.client.FaaSClient` or the Alg. 1 wrapper.
+    :class:`~repro.faas.client.FaaSClient` or the Alg. 1 wrapper.  The
+    inject loop submits inline: no process per request.
     """
 
     def __init__(
@@ -152,18 +154,19 @@ class GatlingClient:
     def _inject(self, horizon: float):
         env = self.env
         interval = 1.0 / self.rate
+        submit = self.target.submit
         index = 0
         while env.now < horizon:
             function = self.functions[index % len(self.functions)]
             index += 1
-            env.process(self._one_request(function))
+            submit(
+                function,
+                partial(self._record, env.now, function),
+                duration=self.duration,
+            )
             yield env.timeout(interval)
 
-    def _one_request(self, function: str):
-        submitted = self.env.now
-        result: ActivationResult = yield from self.target.invoke(
-            function, duration=self.duration
-        )
+    def _record(self, submitted: float, function: str, result: ActivationResult) -> None:
         self.report.outcomes.append(
             RequestOutcome(
                 submitted_at=submitted,

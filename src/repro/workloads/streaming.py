@@ -501,11 +501,13 @@ class FaaSStreamClient:
     """Open-loop streaming injector over any :class:`StreamSource`.
 
     Pulls invocations from the source one at a time — the full schedule
-    is never resident — and spawns one process per request, so memory is
-    O(in-flight requests) however long the horizon.  ``target`` is
-    anything exposing ``invoke(function, duration=...)`` as a process
-    generator (region tags additionally require the ``cluster=`` keyword,
-    which :class:`~repro.faas.client.FaaSClient` provides).
+    is never resident — and submits each inline, with no process per
+    request, so memory is O(in-flight requests) however long the horizon.
+    ``target`` is anything exposing ``submit(function, on_result,
+    duration=...)``, which calls ``on_result`` with the request's
+    :class:`~repro.faas.activation.ActivationResult` (region tags
+    additionally require the ``cluster=`` keyword, which
+    :class:`~repro.faas.client.FaaSClient` provides).
     """
 
     def __init__(
@@ -528,20 +530,20 @@ class FaaSStreamClient:
 
     def _inject(self, horizon: float):
         env = self.env
+        submit = self.target.submit
+        record = self._record
         for invocation in self.source.iter_invocations(horizon):
             if invocation.time > env.now:
                 yield env.timeout(invocation.time - env.now)
-            env.process(self._one_request(invocation))
+            if invocation.cluster is None:
+                submit(invocation.function, record, duration=invocation.duration)
+            else:
+                submit(
+                    invocation.function,
+                    record,
+                    duration=invocation.duration,
+                    cluster=invocation.cluster,
+                )
 
-    def _one_request(self, invocation: Invocation):
-        if invocation.cluster is None:
-            result: ActivationResult = yield from self.target.invoke(
-                invocation.function, duration=invocation.duration
-            )
-        else:
-            result = yield from self.target.invoke(
-                invocation.function,
-                duration=invocation.duration,
-                cluster=invocation.cluster,
-            )
+    def _record(self, result: ActivationResult) -> None:
         self.report.add(result.status, result.response_time)

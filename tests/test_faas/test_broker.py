@@ -205,3 +205,32 @@ def test_publish_spawns_no_process(env, monkeypatch):
     env.run()
     assert spawned == []
     assert sum(broker.peek_depth(f"t{k}") for k in range(4)) == 100
+
+
+def test_subscriber_gets_each_message_at_delivery(env):
+    broker = Broker(env, publish_latency=0.25)
+    received = []
+    broker.subscribe("done", lambda message: received.append((message, env.now)))
+    for i in range(3):
+        broker.publish("done", i)
+    assert len(env) == 3  # still one timer per message
+    env.run()
+    assert received == [(0, 0.25), (1, 0.25), (2, 0.25)]
+    assert broker.peek_depth("done") == 0
+    assert broker.published_counts["done"] == 3
+
+
+def test_zero_latency_subscriber_is_called_inline(env):
+    broker = Broker(env, publish_latency=0.0)
+    received = []
+    broker.subscribe("done", received.append)
+    broker.publish("done", "x")
+    assert received == ["x"]
+    assert len(env) == 0
+
+
+def test_a_topic_has_one_subscriber(env):
+    broker = Broker(env)
+    broker.subscribe("done", lambda message: None)
+    with pytest.raises(ValueError):
+        broker.subscribe("done", lambda message: None)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.faas import (
@@ -344,6 +344,54 @@ def test_interruptible_execution_requeued_on_drain(env):
     assert invoker1.stats.requeued_on_drain == 1
 
 
+def test_every_activation_moved_on_a_drain_notice_reports_fast_laned(env):
+    """A waiting invoker's claim takes the first moved message inside
+    ``move_all`` itself; it must be flagged like the ones still buffered."""
+    broker, controller, config = build_stack(env)
+    controller.deploy(FunctionDef(name="f", duration=0.01))
+    pilots = {
+        invoker_id: spawn_invoker(env, broker, controller, config, invoker_id, node)
+        for invoker_id, node in (("inv-1", "n0000"), ("inv-2", "n0001"))
+    }
+    env.run(until=1)
+    target = controller.choose_invoker("f")
+    (other,) = set(pilots) - {target}
+    pilots[target][1].interrupt("sigterm")  # the draining notice lands 10 ms later
+    results = []
+
+    def client(env):
+        for _ in range(3):
+            yield env.timeout(0.002)
+            controller.submit("f", results.append)
+
+    env.process(client(env))
+    env.run(until=5)
+    assert [r.status for r in results] == [ActivationStatus.SUCCESS] * 3
+    assert [r.fast_laned for r in results] == [True] * 3
+    assert [(r.invoker_id, r.fast_laned) for r in controller.records] == [(other, True)] * 3
+
+
+def test_submit_reports_through_the_callback(env):
+    broker, controller, config = build_stack(env)
+    controller.deploy(FunctionDef(name="f", duration=0.05))
+    results = []
+    controller.submit("ghost", results.append)
+    controller.submit("f", results.append)  # no invoker yet: 503 inline
+    assert [r.status for r in results] == [
+        ActivationStatus.FAILED, ActivationStatus.UNAVAILABLE,
+    ]
+    spawn_invoker(env, broker, controller, config)
+    env.run(until=1)
+    controller.submit("f", results.append)
+    assert len(results) == 2  # accepted: the result comes at delivery
+    env.run(until=5)
+    assert results[2].status is ActivationStatus.SUCCESS
+    assert results[2].response_time == pytest.approx(
+        controller.records[0].completed_at - 1.0
+    )
+    assert controller.inflight_count == 0
+
+
 def test_fastlane_served_before_own_topic(env):
     broker, controller, config = build_stack(env)
     controller.deploy(FunctionDef(name="f", duration=0.01))
@@ -408,7 +456,8 @@ def fake_invoker(env, broker, delays, invoker_id="ghost"):
 def submit_at(env, controller, times, results):
     def client(env):
         for at in times:
-            yield env.timeout(at - env.now)
+            # max(): the clock can overshoot a sum of float delays by an ulp
+            yield env.timeout(max(0.0, at - env.now))
             env.process(one(env))
 
     def one(env):
@@ -508,6 +557,7 @@ def test_run_ends_soon_after_the_last_completion(env):
         max_size=25,
     )
 )
+@example(plan=[(1.8, 0.0), (1.8, 0.0), (0.6, 2.0)])
 def test_each_invocation_gets_one_outcome_timeout_iff_late(plan):
     """Completion delays on both sides of the timeout: TIMEOUT exactly
     when the delay exceeds it, and never two outcomes for one call."""

@@ -1,13 +1,18 @@
-"""Exact kernel and cluster work on fixed-seed fib days.
+"""Exact kernel and cluster work, and exact results, on fixed-seed fib days.
 
 Events, process spawns, scheduling passes and job starts are
 deterministic for a seed, and identical under both queue
 implementations, with or without the event pool.  So they are pinned
 exactly: a change that adds kernel work to the per-invocation control
-plane (say, a process per broker message, or a timer per activation), or
-that adds, skips or moves a backfill pass, fails here, not only in a
-wall-clock benchmark.  A change that removes work updates the numbers
-below.
+plane (say, a process per broker message or per request, or a timer per
+activation), or that adds, skips or moves a backfill pass, fails here,
+not only in a wall-clock benchmark.  A change that removes work updates
+the numbers below.
+
+Each day's accepted share, success share and median response are pinned
+to the last bit as well.  These days are larger than the golden traces,
+so a change that reorders same-instant events (and with them the draws
+from a cluster's shared pilot RNG) fails here too, not only at scale.
 """
 
 from repro.cluster.backfill import BackfillScheduler
@@ -19,11 +24,15 @@ from repro.sim.process import Process
 #: a shrunk ``day`` at the paper's 10 req/s (see perf/run.py, day_fib)
 PARAMS = dict(model="fib", nodes=24, hours=0.1, qps=10.0, no_load=False, plot=False, seed=317)
 INVOCATIONS = 3592
-#: ~13.4 events per invocation
-EVENTS = 48055
-#: ~1.92 spawns per invocation: the client's request and the invoker's
-#: execution, none for transport or deadlines
-SPAWNS = 6892
+#: ~6.9 events per invocation: the request's inject tick, two broker
+#: messages, the invoker's wake-up, the warm start and the run, plus the
+#: shared heartbeats and deadline timer
+EVENTS = 24734
+#: no spawn per invocation: requests, pulls and executions are kernel
+#: callbacks; these are the pilots, the Slurm loops and the consumers
+SPAWNS = 52
+#: (accepted share, success share of accepted, median response seconds)
+RESULTS = (0.8956013363028953, 1.0, 0.8024038546635381)
 
 
 #: a shrunk ``harvest_300`` (see perf/run.py): 300 nodes at 0.5 req/s,
@@ -32,11 +41,21 @@ HARVEST_PARAMS = dict(
     model="fib", nodes=300, hours=0.5, qps=0.5, no_load=False, plot=False, seed=321
 )
 HARVEST_INVOCATIONS = 900
-HARVEST_EVENTS = 46951
-HARVEST_SPAWNS = 2423
+HARVEST_EVENTS = 40629
+HARVEST_SPAWNS = 604
+HARVEST_RESULTS = (0.98, 1.0, 1.2621751482776062)
 #: one BackfillScheduler.plan call per scheduling pass
 HARVEST_PASSES = 481
 HARVEST_STARTS = 560
+
+
+def day_results(result):
+    metrics = result.metrics
+    return (
+        metrics["accepted_share"],
+        metrics["success_of_accepted_share"],
+        metrics["median_response_s"],
+    )
 
 
 def count_calls(monkeypatch, cls, name):
@@ -61,8 +80,9 @@ def test_fib_day_kernel_work_per_invocation_is_pinned(monkeypatch):
 
     assert result.artifacts["result"].gatling.total == INVOCATIONS
     assert (events, spawns[0]) == (EVENTS, SPAWNS)
-    assert events / INVOCATIONS < 14.0
-    assert spawns[0] / INVOCATIONS < 2.0
+    assert events / INVOCATIONS < 8.0
+    assert spawns[0] / INVOCATIONS < 0.05
+    assert day_results(result) == RESULTS
 
 
 def test_300_node_day_cluster_work_is_pinned(monkeypatch):
@@ -77,3 +97,4 @@ def test_300_node_day_cluster_work_is_pinned(monkeypatch):
     assert result.artifacts["result"].gatling.total == HARVEST_INVOCATIONS
     assert (passes[0], starts[0]) == (HARVEST_PASSES, HARVEST_STARTS)
     assert (events, spawns[0]) == (HARVEST_EVENTS, HARVEST_SPAWNS)
+    assert day_results(result) == HARVEST_RESULTS

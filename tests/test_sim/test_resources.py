@@ -269,3 +269,50 @@ def test_priority_store_orders_items(env):
     proc = env.process(consumer(env))
     env.run()
     assert proc.value == ["a", "b", "c"]
+
+
+# ----------------------------------------------------------------------
+# StoreClaim
+# ----------------------------------------------------------------------
+def test_claim_takes_at_put_time_without_an_event(env):
+    store = Store(env)
+    got = []
+    claim = store.claim(got.append)
+    assert not claim.taken
+    store.put("a")
+    store.put("b")
+    assert got == ["a"] and claim.item == "a" and claim.taken
+    assert len(env) == 0  # nothing scheduled
+    assert store.peek_all() == ["b"]
+
+
+def test_claim_of_a_buffered_item_is_immediate(env):
+    store = Store(env)
+    store.put("a")
+    got = []
+    claim = store.claim(got.append)
+    assert got == ["a"] and claim.taken
+    assert len(store) == 0
+
+
+def test_claims_and_gets_share_one_fifo(env):
+    store = Store(env)
+    getter = store.get()
+    claim = store.claim(lambda item: None)
+    later = store.get()
+    store.put(1)
+    store.put(2)
+    store.put(3)
+    # the claim takes the item a get queued in its place would have taken
+    assert (getter.value, claim.item, later.value) == (1, 2, 3)
+
+
+def test_cancelled_claim_is_skipped(env):
+    store = Store(env)
+    first, second = [], []
+    claim = store.claim(first.append)
+    store.claim(second.append)
+    claim.cancel()
+    store.put("x")
+    assert (first, second) == ([], ["x"])
+    assert not claim.taken

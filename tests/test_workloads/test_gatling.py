@@ -15,16 +15,16 @@ class ScriptedTarget:
         self.script = script  # list of (status, response_time)
         self.calls = 0
 
-    def invoke(self, function, params=None, duration=None):
+    def submit(self, function, on_result, params=None, duration=None):
         status, response_time = self.script[self.calls % len(self.script)]
         self.calls += 1
-        yield self.env.timeout(response_time)
-        return ActivationResult(
+        result = ActivationResult(
             activation_id=f"a{self.calls}",
             function=function,
             status=status,
             response_time=response_time,
         )
+        self.env.timeout(response_time).callbacks.append(lambda _event: on_result(result))
 
 
 def test_constant_rate_injection(env):
@@ -33,6 +33,8 @@ def test_constant_rate_injection(env):
     client.start(horizon=60.0)
     env.run(until=70.0)
     assert client.report.total == pytest.approx(600, abs=2)
+    first = client.report.outcomes[0]
+    assert (first.submitted_at, first.response_time) == (0.0, 0.05)
 
 
 def test_round_robin_over_functions(env):
