@@ -37,9 +37,7 @@ from repro.bench.harness import (
 from repro.bench.instrument import KernelProbe, KernelStats
 from repro.bench.kernel import (
     FLOOD_BENCH_NAME,
-    FLOOD_WHEEL_BENCH_NAME,
     KERNEL_BENCH_NAME,
-    KERNEL_WHEEL_BENCH_NAME,
     run_flood_bench,
     run_kernel_bench,
 )
@@ -52,9 +50,7 @@ __all__ = [
     "BenchRecord",
     "Comparison",
     "FLOOD_BENCH_NAME",
-    "FLOOD_WHEEL_BENCH_NAME",
     "KERNEL_BENCH_NAME",
-    "KERNEL_WHEEL_BENCH_NAME",
     "KernelProbe",
     "KernelStats",
     "MICROBENCH_RUNNERS",

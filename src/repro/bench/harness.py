@@ -28,20 +28,15 @@ import json
 import os
 import pstats
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.bench.instrument import KernelProbe, KernelStats
 from repro.bench.kernel import (
     FLOOD_BENCH_NAME,
-    FLOOD_WHEEL_BENCH_NAME,
     KERNEL_BENCH_NAME,
-    KERNEL_COMPILED_BENCH_NAME,
-    KERNEL_WHEEL_BENCH_NAME,
     TIMEOUT_FLOOD_BENCH_NAME,
     run_flood_bench,
     run_kernel_bench,
-    run_kernel_compiled_bench,
     run_timeout_flood_bench,
 )
 from repro.bench.router import ROUTER_BENCH_NAME, run_router_bench
@@ -123,16 +118,10 @@ class BenchRecord:
 
 
 #: name -> ``runner(preset) -> KernelStats`` for the pure microbenches.
-#: The heap/wheel pairs pin their queue implementation explicitly so
-#: recorded numbers stay comparable across baselines no matter what the
-#: session default (or ``REPRO_QUEUE``) resolves to.
 MICROBENCH_RUNNERS: Dict[str, Callable[[str], KernelStats]] = {
-    KERNEL_BENCH_NAME: partial(run_kernel_bench, queue="heap"),
-    KERNEL_WHEEL_BENCH_NAME: partial(run_kernel_bench, queue="wheel"),
-    KERNEL_COMPILED_BENCH_NAME: run_kernel_compiled_bench,
-    FLOOD_BENCH_NAME: partial(run_flood_bench, queue="heap"),
-    FLOOD_WHEEL_BENCH_NAME: partial(run_flood_bench, queue="wheel"),
-    TIMEOUT_FLOOD_BENCH_NAME: partial(run_timeout_flood_bench, queue="wheel"),
+    KERNEL_BENCH_NAME: run_kernel_bench,
+    FLOOD_BENCH_NAME: run_flood_bench,
+    TIMEOUT_FLOOD_BENCH_NAME: run_timeout_flood_bench,
     ROUTER_BENCH_NAME: run_router_bench,
     SHARDS_BENCH_NAME: run_shards_bench,
 }

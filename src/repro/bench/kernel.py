@@ -21,25 +21,18 @@ as ``BENCH_kernel.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.bench.instrument import KernelProbe, KernelStats
 from repro.sim import Environment
 
 #: registry-safe name of the microbenchmark in ``repro bench`` output
 KERNEL_BENCH_NAME = "kernel"
-#: the same four-segment suite pinned to the calendar-queue scheduler
-KERNEL_WHEEL_BENCH_NAME = "kernel-wheel"
-#: drain-rate benchmark of the timeout-flood regime (binary heap)
+#: drain-rate benchmark of a deep resident queue
 FLOOD_BENCH_NAME = "flood"
-#: the flood regime pinned to the calendar-queue scheduler
-FLOOD_WHEEL_BENCH_NAME = "flood-wheel"
 #: steady-state allocation-path benchmark: waves on one environment so
 #: every wave after the first is served from the event freelist
 TIMEOUT_FLOOD_BENCH_NAME = "timeout-flood"
-#: the four-segment suite under the hot-loop build a fresh interpreter
-#: selects (the mypyc extension when built, the interpreted floor here)
-KERNEL_COMPILED_BENCH_NAME = "kernel-compiled"
 
 
 @dataclass(frozen=True)
@@ -149,16 +142,8 @@ def cancellation_storm(env: Environment, count: int) -> None:
     env.run()
 
 
-def run_kernel_bench(preset: str = "quick", queue: Optional[str] = None) -> KernelStats:
-    """Run all four segments at *preset* scale under a fresh probe.
-
-    ``queue`` pins the event-queue implementation for every environment
-    the benchmark creates (``None`` follows the kernel default /
-    ``REPRO_QUEUE``).  The recorded entries pin it explicitly —
-    ``kernel`` to ``"heap"``, ``kernel-wheel`` to ``"wheel"`` — so both
-    scheduler paths stay comparable across baselines regardless of the
-    session default.
-    """
+def run_kernel_bench(preset: str = "quick") -> KernelStats:
+    """Run all four segments at *preset* scale under a fresh probe."""
     try:
         scale = KERNEL_SCALES[preset]
     except KeyError:
@@ -168,14 +153,10 @@ def run_kernel_bench(preset: str = "quick", queue: Optional[str] = None) -> Kern
         ) from None
     with KernelProbe() as probe:
         for _ in range(scale.rounds):
-            timeout_flood(Environment(queue=queue), scale.flood_events)
-            process_churn(
-                Environment(queue=queue), scale.churn_processes, scale.churn_steps
-            )
-            event_relay(
-                Environment(queue=queue), scale.relay_chains, scale.relay_length
-            )
-            cancellation_storm(Environment(queue=queue), scale.cancel_events)
+            timeout_flood(Environment(), scale.flood_events)
+            process_churn(Environment(), scale.churn_processes, scale.churn_steps)
+            event_relay(Environment(), scale.relay_chains, scale.relay_length)
+            cancellation_storm(Environment(), scale.cancel_events)
     return probe.stats
 
 
@@ -188,10 +169,9 @@ class FloodScale:
     """Sizing of the flood-regime drain benchmark.
 
     Unlike :class:`KernelScale` this regime deliberately builds a *deep*
-    resident queue — ``resident_events`` pending timeouts, the depth a
-    fig5-scale experiment day peaks at — because the drain rate at depth
-    is exactly what separates the binary heap (``O(log n)`` per pop)
-    from the calendar queue (amortized ``O(1)``).  The tombstone segment
+    resident queue — ``resident_events`` pending timeouts, far deeper
+    than any benchmark scenario reaches — so the heap's ``O(log n)`` pop
+    cost dominates the measurement.  The tombstone segment
     schedules ``tombstone_events`` and cancels every other one before
     draining, so the measurement covers tombstone discard at depth too.
     """
@@ -225,13 +205,13 @@ def _combined_stats(windows: Sequence[KernelStats]) -> KernelStats:
     )
 
 
-def run_flood_bench(preset: str = "quick", queue: Optional[str] = None) -> KernelStats:
+def run_flood_bench(preset: str = "quick") -> KernelStats:
     """Measure pure drain throughput in the timeout-flood regime.
 
-    Event *creation* cost is identical across queue implementations and
-    already covered by the ``kernel`` entry, so here the probe windows
-    wrap only ``env.run()``: the queue is flooded (and, in the second
-    segment, half-tombstoned) first, then the drain is timed.
+    Event *creation* cost is already covered by the ``kernel`` entry, so
+    here the probe windows wrap only ``env.run()``: the queue is flooded
+    (and, in the second segment, half-tombstoned) first, then the drain
+    is timed.
     """
     try:
         scale = FLOOD_SCALES[preset]
@@ -242,7 +222,7 @@ def run_flood_bench(preset: str = "quick", queue: Optional[str] = None) -> Kerne
         ) from None
     windows = []
     for _ in range(scale.rounds):
-        env = Environment(queue=queue)
+        env = Environment()
         sink = [].append
         timeout = env.timeout
         for i in range(scale.resident_events):
@@ -251,7 +231,7 @@ def run_flood_bench(preset: str = "quick", queue: Optional[str] = None) -> Kerne
             env.run()
         windows.append(probe.stats)
 
-        env = Environment(queue=queue)
+        env = Environment()
         timeouts = [
             env.timeout(1.0 + (i % 31) * 0.5)
             for i in range(scale.tombstone_events)
@@ -297,9 +277,7 @@ WAVE_SCALES: Dict[str, WaveScale] = {
 }
 
 
-def run_timeout_flood_bench(
-    preset: str = "quick", queue: Optional[str] = None
-) -> KernelStats:
+def run_timeout_flood_bench(preset: str = "quick") -> KernelStats:
     """Measure create+drain throughput with the event freelist hot.
 
     Unlike ``flood`` (a fresh environment per drain — every Timeout is a
@@ -316,7 +294,7 @@ def run_timeout_flood_bench(
             f"unknown timeout-flood bench preset {preset!r}; "
             f"expected one of {sorted(WAVE_SCALES)}"
         ) from None
-    env = Environment(queue=queue)
+    env = Environment()
     with KernelProbe() as probe:
         # the callback must not retain the event ([].append would): a
         # retained event fails the recycler's refcount guard by design
@@ -331,57 +309,3 @@ def run_timeout_flood_bench(
 
 def _discard(event: object) -> None:
     """Callback-dispatch cost without keeping a reference to the event."""
-
-
-# ----------------------------------------------------------------------
-# compiled-loop entry: the suite under a fresh interpreter's loop choice
-# ----------------------------------------------------------------------
-
-_CHILD_BENCH = """
-import json, sys
-from repro.bench.kernel import run_kernel_bench
-from repro.sim import COMPILED_LOOP
-stats = run_kernel_bench(sys.argv[1], queue="heap")
-print(json.dumps({"compiled": COMPILED_LOOP, **stats.as_dict()}))
-"""
-
-
-def run_kernel_compiled_bench(preset: str = "quick") -> KernelStats:
-    """The four-segment suite under the hot-loop build of a fresh process.
-
-    Hot-loop selection is process-global and fixed at import, so this
-    entry runs the suite in a subprocess with ``REPRO_COMPILED``
-    cleared: the child picks up a mypyc build of ``repro.sim._hotloop``
-    when one is on the path, and the interpreted loop otherwise.  The
-    committed baseline number is therefore the *interpreted floor* —
-    wherever a compiled build is present (CI's compiled-kernel leg, a
-    developer who ran ``tools/build_compiled.py``) the same entry
-    measures the compiled loop, and the regression gate enforces that
-    compilation never makes the kernel slower than interpretation.
-    Wall time is measured inside the child, so process startup does not
-    pollute the figure.
-    """
-    import json
-    import os
-    import subprocess
-    import sys
-
-    if preset not in KERNEL_SCALES:
-        raise KeyError(
-            f"unknown kernel bench preset {preset!r}; "
-            f"expected one of {sorted(KERNEL_SCALES)}"
-        )
-    child_env = dict(os.environ)
-    child_env.pop("REPRO_COMPILED", None)
-    result = subprocess.run(
-        [sys.executable, "-c", _CHILD_BENCH, preset],
-        capture_output=True, text=True, env=child_env, check=True,
-    )
-    payload = json.loads(result.stdout)
-    return KernelStats(
-        events_processed=int(payload["events_processed"]),
-        events_scheduled=int(payload["events_scheduled"]),
-        peak_queue_depth=int(payload["peak_queue_depth"]),
-        wall_time_s=float(payload["wall_time_s"]),
-        events_reused=int(payload["events_reused"]),
-    )

@@ -7,8 +7,9 @@ scientific Python toolchain.  The surface mirrors the OpenWhisk-ish
 front door the paper's Gatling harness spoke to:
 
 * ``POST /invoke/<function>`` — body ``{"duration": …, "cluster": …}``
-  (both optional); blocks until the activation settles and answers with
-  the activation JSON.  Status mapping: ``SUCCESS → 200``,
+  (both optional; a duration that is not a finite number >= 0 is a
+  400); blocks until the activation settles and answers with the
+  activation JSON.  Status mapping: ``SUCCESS → 200``,
   ``UNAVAILABLE → 503`` (no healthy invoker), ``TIMEOUT → 504``,
   ``FAILED → 404`` when the function is not deployed else ``500``.
 * ``GET /healthz`` — liveness: kernel time, healthy invoker count,
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any, Dict, Optional, Tuple
 
 from repro.faas.activation import ActivationResult, ActivationStatus
@@ -167,10 +169,20 @@ class LiveServer:
                 return 400, {"error": "body must be a JSON object"}
             duration = params.get("duration")
             cluster = params.get("cluster")
+            # The duration becomes a kernel timer delay.  Refuse a bad one
+            # here with a 400: inside the kernel a negative or NaN delay
+            # raises from a timer callback and stops the control plane for
+            # every client, and an infinite one never fires.
+            try:
+                duration = None if duration is None else float(duration)
+            except (TypeError, ValueError, OverflowError):
+                return 400, {"error": "duration must be a number"}
+            if duration is not None and not 0.0 <= duration < math.inf:
+                return 400, {"error": "duration must be finite and >= 0"}
             try:
                 result = await self.service.invoke(
                     function,
-                    duration=None if duration is None else float(duration),
+                    duration=duration,
                     cluster=None if cluster is None else str(cluster),
                 )
             except ServiceStopped:

@@ -29,10 +29,13 @@ Design notes
   delivery into running job processes.
 * Time is a ``float`` in **seconds**; all modules in this package treat one
   simulated unit as one second.
+* Pending events live in one binary heap (:mod:`repro.sim.queue`), drained
+  by :meth:`Environment.run`; processed ``Timeout``/``Event`` objects that
+  nothing else references are recycled through a per-environment freelist
+  (``Environment(pool=False)`` or ``REPRO_POOL=0`` turns that off).
 """
 
 from repro.sim.core import (
-    COMPILED_LOOP,
     Environment,
     SimTime,
     StopSimulation,
@@ -46,13 +49,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Interrupt, InterruptError, Process
-from repro.sim.queue import (
-    DEFAULT_QUEUE,
-    QUEUE_KINDS,
-    CalendarQueue,
-    HeapEventQueue,
-    resolve_queue,
-)
+from repro.sim.queue import HeapEventQueue
 from repro.sim.resources import (
     FilterStore,
     PriorityItem,
@@ -65,14 +62,9 @@ from repro.sim.rng import RandomStreams
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
-    "COMPILED_LOOP",
-    "DEFAULT_QUEUE",
     "Environment",
     "resolve_pool",
     "HeapEventQueue",
-    "QUEUE_KINDS",
-    "resolve_queue",
     "Event",
     "EventPriority",
     "FilterStore",

@@ -1,11 +1,20 @@
-"""The simulation environment: clock, event heap, and run loop.
+"""The simulation environment: clock, event queue, and run loop.
 
 The run loop is the hottest code in the repository — every simulated
 request, pilot job, and sampler tick flows through it — so it is written
 for speed: event classes are imported once at module scope, the
 :class:`Environment` is slotted, and :meth:`Environment.run` pops the
-heap with locally bound functions instead of going through
+heap with locally bound names instead of going through
 :meth:`Environment.step` per event.
+
+The run loop also hosts the recycling side of the event pool: after an
+event's callbacks have run, if the environment pools events and the
+loop's own local is the *only* remaining reference (checked with
+``sys.getrefcount``), the object is parked on the environment's
+freelist for :meth:`Environment.timeout` / :meth:`Environment.event` to
+reuse.  Any event that other code (a Condition, a Store, a pending
+dict...) still holds fails the guard and is left to the garbage
+collector, so recycling is never observable.
 
 The environment also keeps cheap throughput counters
 (:attr:`Environment.events_processed`, :attr:`Environment.peak_queue_depth`)
@@ -19,10 +28,11 @@ from __future__ import annotations
 import os
 from functools import partial as _partial
 from heapq import heappop as _heappop, heappush as _heappush
+from sys import getrefcount as _getrefcount
 from typing import Any, Generator, Iterable, Optional, Tuple
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.queue import CalendarQueue, HeapEventQueue, resolve_queue
+from repro.sim.queue import HeapEventQueue
 
 #: Simulated time.  One unit is one second throughout this code base.
 SimTime = float
@@ -86,6 +96,10 @@ KERNEL_TOTALS = KernelTotals()
 #: ``REPRO_POOL=0``.
 DEFAULT_POOL = True
 
+#: recycled events parked per environment; bounded so a burst can never
+#: pin an unbounded amount of memory on the freelist
+POOL_CAP = 4096
+
 
 def resolve_pool(flag: Optional[bool] = None) -> bool:
     """Resolve the event-pool selector (arg > ``REPRO_POOL`` > default)."""
@@ -95,37 +109,6 @@ def resolve_pool(flag: Optional[bool] = None) -> bool:
     if raw == "":
         return DEFAULT_POOL
     return raw.lower() not in ("0", "off", "false", "no")
-
-
-def _load_hotloop():
-    """Select the run-loop implementation (compiled build vs pure source).
-
-    A mypyc build of :mod:`repro.sim._hotloop` (built by
-    ``tools/build_compiled.py``) shadows the ``.py`` source on import and
-    is picked up automatically.  ``REPRO_COMPILED=0`` forces the pure
-    interpreted source even when a compiled extension is installed, by
-    loading the ``.py`` file directly under a private module name.
-    """
-    if os.environ.get("REPRO_COMPILED", "") == "0":
-        import importlib.util
-
-        path = os.path.join(os.path.dirname(__file__), "_hotloop.py")
-        spec = importlib.util.spec_from_file_location("repro.sim._hotloop_pure", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-    from repro.sim import _hotloop
-
-    return _hotloop
-
-
-_hotloop = _load_hotloop()
-_hotloop.install(Timeout, Event, StopSimulation)
-
-#: True when the mypyc-compiled hot loop is active this process.
-COMPILED_LOOP: bool = bool(getattr(_hotloop, "COMPILED", False))
-
-_run_loop = _hotloop.run_loop
 
 
 class Environment:
@@ -141,20 +124,12 @@ class Environment:
     is tombstoned and silently discarded when it reaches the front of the
     queue.  ``len(env)``, :meth:`peek`, and :attr:`peak_queue_depth` agree
     on this: all count only live (non-cancelled) entries.
-
-    The backing store is pluggable: ``queue="heap"`` uses the classic
-    binary heap, ``"wheel"`` the calendar queue, and ``"auto"`` (the
-    default) the calendar queue with automatic degradation back to heap
-    layout for workloads outside its sweet spot.  All produce the exact
-    same event order — see :mod:`repro.sim.queue`.
     """
 
     __slots__ = (
         "_now",
         "_queue",
         "_push",
-        "_pop",
-        "queue_kind",
         "_eid",
         "_eid_flushed",
         "_active_process",
@@ -170,24 +145,14 @@ class Environment:
     def __init__(
         self,
         initial_time: SimTime = 0.0,
-        queue: Optional[str] = None,
         pool: Optional[bool] = None,
     ) -> None:
         self._now: SimTime = float(initial_time)
-        impl, degrade = resolve_queue(queue)
-        if impl == "heap":
-            q = HeapEventQueue()
-            # partial() of the C heap functions: pushes from the inlined
-            # hot paths in events.py stay a single C call.
-            self._push = _partial(_heappush, q)
-            self._pop = _partial(_heappop, q)
-        else:
-            q = CalendarQueue(degrade=degrade)
-            self._push = q.push
-            self._pop = q.pop
-        self._queue = q
-        #: which backing store this environment runs on ("heap"/"wheel")
-        self.queue_kind: str = impl
+        queue = HeapEventQueue()
+        self._queue = queue
+        # partial() of the C heappush: pushes from the inlined hot paths
+        # in events.py stay a single C call.
+        self._push = _partial(_heappush, queue)
         self._eid: int = 0
         self._eid_flushed: int = 0
         self._active_process: Optional["Process"] = None
@@ -235,19 +200,15 @@ class Environment:
         """
         queue = self._queue
         cancelled = self._cancelled
-        pop = self._pop
-        peek_entry = queue.peek_entry
-        while True:
-            entry = peek_entry()
-            if entry is None:
-                return _INF
-            event = entry[3]
+        while queue:
+            when, _prio, _eid, event = queue[0]
             if cancelled and event in cancelled:
-                pop()
+                _heappop(queue)
                 cancelled.discard(event)
                 event._queued = False
                 continue
-            return entry[0]
+            return when
+        return _INF
 
     def __len__(self) -> int:
         """Number of live (non-cancelled) scheduled events."""
@@ -267,8 +228,8 @@ class Environment:
         ``priority`` follows the SimPy convention: ``0`` (URGENT) fires
         before ``1`` (NORMAL) at the same instant.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         self._eid += 1
         event._queued = True
         self._push((self._now + delay, priority, self._eid, event))
@@ -348,8 +309,8 @@ class Environment:
             # Reuse a recycled Timeout: every field Timeout.__init__
             # writes is written fresh here, so no state survives the
             # recycle — only the object identity does.
-            if delay < 0:
-                raise ValueError(f"negative delay: {delay!r}")
+            if not delay >= 0:  # also rejects NaN
+                raise ValueError(f"delay must be >= 0, got {delay!r}")
             timeout = pool.pop()
             timeout.callbacks = []
             timeout._value = value
@@ -386,11 +347,10 @@ class Environment:
         """
         queue = self._queue
         cancelled = self._cancelled
-        pop = self._pop
         while True:
             depth = len(queue) - len(cancelled)
             try:
-                when, _prio, _eid, event = pop()
+                when, _prio, _eid, event = _heappop(queue)
             except IndexError:
                 raise EmptySchedule() from None
             if cancelled and event in cancelled:
@@ -429,7 +389,7 @@ class Environment:
             stop_event.callbacks.append(self._stop_callback)
         else:
             horizon = float(until)
-            if horizon < self._now:
+            if not horizon >= self._now:  # also rejects NaN
                 raise ValueError(
                     f"until ({horizon}) must not be before now ({self._now})"
                 )
@@ -440,13 +400,57 @@ class Environment:
             self.schedule(stop_event, delay=horizon - self._now, priority=0)
             stop_event.callbacks.append(self._stop_callback)
 
-        # The per-event drain lives in repro.sim._hotloop (one branch
-        # per backing store, everything bound to locals) so the same
-        # loop body can optionally run as a mypyc-compiled extension.
-        # It flushes the kernel counters on every exit path itself.
-        stopped, value = _run_loop(self)
-        if stopped:
-            return value
+        queue = self._queue
+        cancelled = self._cancelled
+        tpool = self._timeout_pool
+        epool = self._event_pool
+        pop = _heappop
+        processed = 0
+        peak = 0
+        try:
+            while queue:
+                # Peak tracking: live depth <= raw length, so only pay
+                # the tombstone subtraction when the raw length clears
+                # the current peak.
+                depth = len(queue)
+                if depth > peak:
+                    if cancelled:
+                        depth -= len(cancelled)
+                    if depth > peak:
+                        peak = depth
+                when, _prio, _eid, event = pop(queue)
+                if cancelled and event in cancelled:
+                    cancelled.discard(event)
+                    event._queued = False
+                    continue
+                self._now = when
+                event._processed = True
+                processed += 1
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if event._ok is False:
+                    if not event.defused:
+                        raise event._value
+                elif tpool is not None:
+                    # Recycle: only exact Timeout/Event instances
+                    # (subclasses carry extra state), and only when the
+                    # loop local is the last reference — 2 is this
+                    # frame's slot plus getrefcount's argument.
+                    cls = type(event)
+                    if cls is Timeout:
+                        if len(tpool) < POOL_CAP and _getrefcount(event) == 2:
+                            event._value = None
+                            tpool.append(event)
+                    elif cls is Event:
+                        if len(epool) < POOL_CAP and _getrefcount(event) == 2:
+                            event._value = None
+                            epool.append(event)
+        except StopSimulation as stop:
+            return stop.value
+        finally:
+            self._flush_counters(processed, peak)
 
         if stop_event is not None and not stop_event.processed:
             # Queue drained before the stop event fired.

@@ -18,7 +18,7 @@ class EventPriority(enum.IntEnum):
 
 #: Interned plain-``int`` aliases of :class:`EventPriority` for the hot
 #: paths: queue entries built from these compare int-vs-int inside the
-#: heap/wheel C comparison loops instead of going through the IntEnum
+#: heap's C comparison loop instead of going through the IntEnum
 #: subclass, and the values are identical so event order cannot change.
 URGENT: int = int(EventPriority.URGENT)
 NORMAL: int = int(EventPriority.NORMAL)
@@ -89,8 +89,8 @@ class Event:
         self._value = value
         # Inlined env.schedule(self, priority=priority): settling an
         # event is a kernel hot path (every process step ends here).
-        # env._push is the queue's push pre-bound at Environment
-        # construction (a C heappush partial in heap mode).
+        # env._push is the C heappush pre-bound to the environment's
+        # queue at construction.
         env = self.env
         env._eid += 1
         self._queued = True
@@ -142,8 +142,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: "SimTime", value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         # Flattened Event.__init__ + env.schedule — one less call each on
         # the hottest allocation path (every simulated wait is a Timeout).
         self.env = env

@@ -1,97 +1,31 @@
-"""Event-queue implementations behind the simulation kernel.
+"""The simulation kernel's event queue: a binary heap of scheduled entries.
 
-Both queues store identical entries — ``(time, priority, eid, event)``
-tuples — and drain them in exactly the same strict total order (the
-``eid`` sequence number breaks every tie), so the kernel's observable
-behaviour is byte-identical regardless of which implementation an
-:class:`~repro.sim.core.Environment` was built with.  What differs is
-the cost model:
-
-:class:`HeapEventQueue`
-    The classic binary heap (``heapq``).  Every push and pop is
-    ``O(log n)`` tuple comparisons — all in C, but the log factor bites
-    in the timeout-flood regime where a fig5-scale run holds 10⁵+
-    pending events.
-
-:class:`CalendarQueue`
-    A Brown-style calendar queue (event wheel): pending events hash
-    into time buckets of ``width`` seconds, so a push is ``O(1)`` (one
-    int quantization + dict lookup + list append) and draining a bucket
-    is one C ``list.sort`` followed by plain index reads.  The heap
-    survives only in two small places: a heap of *bucket keys* (one
-    entry per distinct bucket, not per event) and a tiny ``incoming``
-    heap for events scheduled into the bucket currently being drained.
-    Bucket width is resized from the observed event density
-    (inter-event deltas expressed as events-per-bucket occupancy), and
-    when resizing cannot reach a useful occupancy the queue degrades
-    gracefully to a plain binary heap — so the wheel is never
-    catastrophically worse than the heap it replaces.
-
-Selection is via ``Environment(queue="heap"|"wheel"|"auto")``, the
-``REPRO_QUEUE`` environment variable, or :data:`DEFAULT_QUEUE`.
-``auto`` picks the wheel *with* heap degradation armed; ``wheel`` pins
-the calendar layout unconditionally.  The byte-identical goldens under
-``tests/golden/`` are verified under both implementations in CI, which
-is what allowed the default to move off ``heap``.
+Each pending occurrence is one ``(time, priority, eid, event)`` tuple.
+The ``eid`` sequence number makes the order total and deterministic:
+entries drain by time, then priority, then the order they were
+scheduled in.  At the depths the paper's scenarios reach (a few hundred
+pending events) ``heapq``'s ``O(log n)`` tuple comparisons, all in C,
+are the cheapest order the kernel can keep.
 """
 
 from __future__ import annotations
 
-import os
-from heapq import (
-    heapify as _heapify,
-    heappop as _heappop,
-    heappush as _heappush,
-)
-from typing import Any, List, Optional, Tuple
+from heapq import heappop as _heappop, heappush as _heappush
+from typing import Any, Optional, Tuple
 
 #: one scheduled occurrence: (time, priority, eid, event)
 Entry = Tuple[float, int, int, Any]
-
-#: queue kinds accepted by Environment(queue=...) / REPRO_QUEUE
-QUEUE_KINDS = ("heap", "wheel", "auto")
-
-#: kernel-wide default when neither the constructor argument nor the
-#: REPRO_QUEUE environment variable says otherwise.  ``auto`` (wheel +
-#: degradation) replaced ``heap`` once every registered scenario's
-#: smoke golden was proven byte-identical under both implementations.
-DEFAULT_QUEUE = "auto"
-
-
-def resolve_queue(kind: Optional[str]) -> Tuple[str, bool]:
-    """Resolve a queue selector to ``(impl, degrade)``.
-
-    ``impl`` is ``"heap"`` or ``"wheel"``; ``degrade`` (meaningful for
-    the wheel only) arms the automatic fall-back to heap layout when
-    the workload is outside the calendar's sweet spot.  ``None`` reads
-    ``REPRO_QUEUE`` and falls back to :data:`DEFAULT_QUEUE`; an empty
-    environment value means "unset".
-    """
-    if kind is None:
-        kind = os.environ.get("REPRO_QUEUE") or DEFAULT_QUEUE
-    kind = str(kind).lower()
-    if kind == "heap":
-        return "heap", False
-    if kind == "wheel":
-        return "wheel", False
-    if kind == "auto":
-        return "wheel", True
-    raise ValueError(
-        f"unknown queue kind {kind!r}; expected one of {QUEUE_KINDS}"
-    )
 
 
 class HeapEventQueue(list):
     """Binary-heap event queue — a ``heapq``-managed list of entries.
 
     Subclassing :class:`list` lets the kernel's run loop keep calling
-    the C ``heappush``/``heappop`` directly on the queue object, so
-    heap mode pays nothing for the abstraction.
+    the C ``heappush``/``heappop`` directly on the queue object, so the
+    kernel pays nothing for the abstraction.
     """
 
     __slots__ = ()
-
-    kind = "heap"
 
     def push(self, entry: Entry) -> None:
         _heappush(self, entry)
@@ -103,278 +37,3 @@ class HeapEventQueue(list):
     def peek_entry(self) -> Optional[Entry]:
         """Smallest entry without consuming it, or ``None``."""
         return self[0] if self else None
-
-
-class CalendarQueue:
-    """Calendar-queue (event-wheel) implementation of the event queue.
-
-    Invariants:
-
-    * every pending entry lives in exactly one of: the current batch
-      tail ``_batch[_idx:]``, the ``_incoming`` heap, or a future
-      bucket in ``_buckets`` (keyed by ``int(time * 1/width)``);
-    * ``_keyheap`` holds each future bucket's key exactly once;
-    * ``len(self)`` (``_size``) counts all pending entries, including
-      tombstoned ones the environment has cancelled but not yet
-      discarded — mirroring ``len()`` of the heap queue exactly;
-    * entries pop in strict ``(time, priority, eid)`` order.
-
-    Pushes into the *currently draining* bucket go to the ``_incoming``
-    heap rather than the batch list, because they may precede entries
-    still pending in the sorted batch (e.g. an URGENT interrupt at the
-    current instant); the pop path compares the two heads.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_keyheap",
-        "_size",
-        "_width",
-        "_inv_width",
-        "_cur_key",
-        "_batch",
-        "_idx",
-        "_incoming",
-        "_advances",
-        "_resizes",
-        "_degrade",
-        "_degraded",
-        "_heap",
-    )
-
-    kind = "wheel"
-
-    #: run the geometry check every this-many bucket advances
-    CHECK_MASK = 31
-    #: events-per-bucket band the width resizer steers toward
-    MIN_OCCUPANCY = 2.0
-    MAX_OCCUPANCY = 64.0
-    #: resize factor applied when occupancy leaves the band
-    GROWTH = 4.0
-    #: give up and fall back to a heap after this many fruitless resizes
-    MAX_RESIZES = 6
-    MIN_WIDTH = 1e-9
-    MAX_WIDTH = 1e12
-
-    def __init__(self, width: float = 1.0, degrade: bool = True) -> None:
-        if not width > 0.0:
-            raise ValueError(f"bucket width must be positive, got {width!r}")
-        self._buckets: dict = {}
-        self._keyheap: List[int] = []
-        self._size = 0
-        self._width = float(width)
-        self._inv_width = 1.0 / float(width)
-        self._cur_key: Optional[int] = None
-        self._batch: List[Entry] = []
-        self._idx = 0
-        self._incoming: List[Entry] = []
-        self._advances = 0
-        self._resizes = 0
-        self._degrade = degrade
-        self._degraded = False
-        self._heap: List[Entry] = []
-
-    # -- introspection -------------------------------------------------
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    @property
-    def width(self) -> float:
-        """Current bucket width in simulated seconds."""
-        return self._width
-
-    @property
-    def degraded(self) -> bool:
-        """True once the queue has fallen back to heap layout."""
-        return self._degraded
-
-    # -- core operations -----------------------------------------------
-    def push(self, entry: Entry) -> None:
-        if self._degraded:
-            _heappush(self._heap, entry)
-            self._size += 1
-            return
-        key = int(entry[0] * self._inv_width)
-        cur = self._cur_key
-        if cur is not None and key <= cur:
-            # The bucket is mid-drain (or peek has already claimed a
-            # *future* bucket and a push now lands at or before it —
-            # the peek-sleep-push pattern of the live kernel): the
-            # sorted batch must not grow, and the new entry may precede
-            # pending batch entries, so it goes through the incoming
-            # heap that both pop and peek compare against the batch
-            # head.  Filing it under an earlier bucket key instead
-            # would let the claimed batch drain first — out of order.
-            _heappush(self._incoming, entry)
-        else:
-            buckets = self._buckets
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [entry]
-                _heappush(self._keyheap, key)
-            else:
-                bucket.append(entry)
-        self._size += 1
-
-    def pop(self) -> Entry:
-        """Smallest entry; raises :class:`IndexError` when empty."""
-        if self._degraded:
-            entry = _heappop(self._heap)  # IndexError when empty
-            self._size -= 1
-            return entry
-        batch = self._batch
-        idx = self._idx
-        if idx < len(batch):
-            entry = batch[idx]
-            inc = self._incoming
-            if inc and inc[0] < entry:
-                entry = _heappop(inc)
-            else:
-                self._idx = idx + 1
-                # Consumed slots are cleared (never re-read: _idx has
-                # moved past) so the entry tuple — and the event inside
-                # it — is freed as soon as the caller drops it, which
-                # is what lets the run loop's recycler see a processed
-                # event's refcount hit the pool-eligibility floor.
-                batch[idx] = None
-            self._size -= 1
-            return entry
-        inc = self._incoming
-        if inc:
-            self._size -= 1
-            return _heappop(inc)
-        # Current bucket fully drained: advance to the next one.
-        cur = self._cur_key
-        if cur is not None:
-            del self._buckets[cur]
-            self._cur_key = None
-        self._advances += 1
-        if (self._advances & self.CHECK_MASK) == 0 and self._size >= 64:
-            self._check_geometry()
-            if self._degraded:
-                return self.pop()
-        keyheap = self._keyheap
-        if not keyheap:
-            raise IndexError("pop from an empty CalendarQueue")
-        key = _heappop(keyheap)
-        self._cur_key = key
-        batch = self._buckets[key]
-        if len(batch) > 1:
-            batch.sort()
-        self._batch = batch
-        self._idx = 1
-        self._size -= 1
-        entry = batch[0]
-        batch[0] = None
-        return entry
-
-    def peek_entry(self) -> Optional[Entry]:
-        """Smallest entry without consuming it, or ``None``.
-
-        May advance internal bucket state (sorting the next bucket) but
-        never consumes an entry.
-        """
-        if self._degraded:
-            return self._heap[0] if self._heap else None
-        batch = self._batch
-        idx = self._idx
-        if idx < len(batch):
-            entry = batch[idx]
-            inc = self._incoming
-            if inc and inc[0] < entry:
-                return inc[0]
-            return entry
-        if self._incoming:
-            return self._incoming[0]
-        cur = self._cur_key
-        if cur is not None:
-            del self._buckets[cur]
-            self._cur_key = None
-        keyheap = self._keyheap
-        if not keyheap:
-            return None
-        key = _heappop(keyheap)
-        self._cur_key = key
-        batch = self._buckets[key]
-        if len(batch) > 1:
-            batch.sort()
-        self._batch = batch
-        self._idx = 0
-        return batch[0]
-
-    # -- geometry adaptation ---------------------------------------------
-    def _pending_entries(self) -> List[Entry]:
-        """Every pending entry, in no particular order."""
-        entries = self._batch[self._idx:]
-        entries.extend(self._incoming)
-        cur = self._cur_key
-        for key, bucket in self._buckets.items():
-            if key != cur:
-                entries.extend(bucket)
-        return entries
-
-    def _check_geometry(self) -> None:
-        """Steer bucket width toward the target occupancy band.
-
-        Called on the bucket-advance path (so the current batch and the
-        incoming heap are empty).  Occupancy — pending events per
-        bucket — is the observable form of the mean inter-event delta:
-        too few events per bucket means the width undershoots the
-        deltas (every advance pays dict/keyheap overhead for a near-
-        empty bucket), too many means one bucket sort handles what
-        should be spread over the wheel.
-        """
-        buckets = len(self._buckets)
-        if buckets == 0:
-            return
-        occupancy = self._size / buckets
-        if occupancy < self.MIN_OCCUPANCY:
-            if self._resizes >= self.MAX_RESIZES:
-                if self._degrade:
-                    self._degrade_to_heap()
-                return
-            width = min(self._width * self.GROWTH, self.MAX_WIDTH)
-            if width != self._width:
-                self._rebuild(width)
-        elif occupancy > self.MAX_OCCUPANCY:
-            width = max(self._width / self.GROWTH, self.MIN_WIDTH)
-            if width != self._width:
-                self._rebuild(width)
-
-    def _rebuild(self, width: float) -> None:
-        """Re-bucket every pending entry at a new width."""
-        entries = self._pending_entries()
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets = {}
-        self._keyheap = []
-        self._cur_key = None
-        self._batch = []
-        self._idx = 0
-        self._incoming = []
-        self._size = 0
-        self._resizes += 1
-        push = self.push
-        for entry in entries:
-            push(entry)
-
-    def _degrade_to_heap(self) -> None:
-        """Fall back to binary-heap layout permanently.
-
-        Reached when repeated widening never got the occupancy off the
-        floor — the event-time distribution has no density the wheel
-        can exploit, so the heap's log factor is the better deal.
-        """
-        entries = self._pending_entries()
-        _heapify(entries)
-        self._heap = entries
-        self._degraded = True
-        self._buckets = {}
-        self._keyheap = []
-        self._cur_key = None
-        self._batch = []
-        self._idx = 0
-        self._incoming = []

@@ -25,10 +25,7 @@ def test_bench_default_runs_microbenches_plus_every_scenario(tmp_path, capsys):
     assert main(["bench", "--preset", "smoke", "--out-dir", str(tmp_path)]) == 0
     written = {path.name for path in tmp_path.glob("BENCH_*.json")}
     assert "BENCH_kernel.json" in written
-    assert "BENCH_kernel-wheel.json" in written
-    assert "BENCH_kernel-compiled.json" in written
     assert "BENCH_flood.json" in written
-    assert "BENCH_flood-wheel.json" in written
     assert "BENCH_timeout-flood.json" in written
     assert "BENCH_router.json" in written
     assert "BENCH_shards.json" in written
@@ -36,7 +33,7 @@ def test_bench_default_runs_microbenches_plus_every_scenario(tmp_path, capsys):
                  "optimize", "longterm", "federation", "supply",
                  "supply_matrix", "stream_day"):
         assert f"BENCH_{name}.json" in written
-    assert len(written) == 20
+    assert len(written) == 17
 
 
 def test_bench_against_passing_baseline(tmp_path):

@@ -35,13 +35,11 @@ def _record(name, eps, kind="kernel"):
 
 def test_bench_names_lists_microbenches_and_all_scenarios():
     names = bench_names()
-    assert names[:8] == ["kernel", "kernel-wheel", "kernel-compiled",
-                         "flood", "flood-wheel", "timeout-flood",
-                         "router", "shards"]
+    assert names[:5] == ["kernel", "flood", "timeout-flood", "router", "shards"]
     assert "day" in names and "fig1" in names and "federation" in names
     assert "supply" in names and "supply_matrix" in names
     assert "stream_day" in names
-    assert len(names) == 20
+    assert len(names) == 17
 
 
 def test_router_microbench_smoke_runs_and_counts():
@@ -111,48 +109,10 @@ def test_timeout_flood_bench_reuses_the_pool():
         run_timeout_flood_bench("huge")
 
 
-def test_kernel_compiled_bench_matches_kernel_counts():
-    from repro.bench.kernel import run_kernel_compiled_bench
-
-    # same workload as `kernel`, measured in a fresh subprocess under
-    # whatever hot-loop build that process selects — counts must agree
-    stats = run_kernel_compiled_bench("smoke")
-    direct = run_kernel_bench("smoke", queue="heap")
-    assert stats.events_processed == direct.events_processed
-    assert stats.events_scheduled == direct.events_scheduled
-    assert stats.events_reused == direct.events_reused
-    assert stats.events_per_sec > 0
-    with pytest.raises(KeyError):
-        run_kernel_compiled_bench("huge")
-
-
 def test_from_dict_defaults_events_reused_for_old_records():
     payload = _record("kernel", 1000).to_dict()
     del payload["events_reused"]  # records written before the pool landed
     assert BenchRecord.from_dict(payload).stats.events_reused == 0
-
-
-def test_flood_bench_identical_counts_across_queues():
-    from repro.bench.kernel import run_flood_bench
-
-    heap = run_flood_bench("smoke", queue="heap")
-    wheel = run_flood_bench("smoke", queue="wheel")
-    assert heap.events_processed == wheel.events_processed
-    assert heap.events_scheduled == wheel.events_scheduled
-    assert heap.peak_queue_depth == wheel.peak_queue_depth
-
-
-def test_microbench_runners_pin_their_queues():
-    from repro.bench import MICROBENCH_RUNNERS
-
-    assert set(MICROBENCH_RUNNERS) == {
-        "kernel", "kernel-wheel", "kernel-compiled", "flood", "flood-wheel",
-        "timeout-flood", "router", "shards",
-    }
-    wheel_record = run_bench("kernel-wheel", preset="smoke")
-    assert wheel_record.kind == "kernel"
-    assert wheel_record.stats.events_processed == \
-        run_bench("kernel", preset="smoke").stats.events_processed
 
 
 def test_profile_bench_reports_hotspots():

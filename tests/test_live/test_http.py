@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.api.stack import Stack, SupplySpec, WorkloadSpec
 from repro.live.http import LiveServer, http_request
 from repro.live.service import LiveControlPlane
@@ -90,6 +92,24 @@ def test_invoke_bad_body_400():
 
     raw = _with_server(probe)
     assert raw.startswith(b"HTTP/1.1 400 ")
+
+
+@pytest.mark.parametrize("duration", ["abc", [1], -1, "nan", "inf"])
+def test_invoke_malformed_duration_400_and_server_keeps_serving(duration):
+    async def probe(host, port):
+        bad = await http_request(
+            host, port, "POST", "/invoke/sleep-000", {"duration": duration}
+        )
+        good = await http_request(
+            host, port, "POST", "/invoke/sleep-000", {"duration": 0.05}
+        )
+        return bad, good
+
+    (bad_status, bad_payload), (good_status, good_payload) = _with_server(probe)
+    assert bad_status == 400
+    assert "duration" in bad_payload["error"]
+    assert good_status == 200
+    assert good_payload["status"] == "success"
 
 
 def test_unknown_route_404_and_wrong_method_405():

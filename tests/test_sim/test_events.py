@@ -76,6 +76,26 @@ def test_timeout_negative_delay_rejected(env):
         env.timeout(-1.0)
 
 
+@pytest.mark.parametrize("pool", [True, False])
+def test_nan_delay_rejected_and_clock_stays(pool):
+    """NaN compares false both ways, so only ``not delay >= 0`` rejects it."""
+    env = Environment(pool=pool)
+    env.timeout(1.0)
+    env.run()  # with the pool on, the next timeout() is a recycled one
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        env.timeout(nan)
+    with pytest.raises(ValueError):
+        env.schedule(env.event(), delay=nan)
+    with pytest.raises(ValueError):
+        env.run(until=nan)
+    assert env.now == 1.0
+    assert len(env) == 0
+    env.timeout(2.0)
+    env.run()
+    assert env.now == 3.0
+
+
 def test_timeouts_fire_in_scheduling_order_at_same_instant(env):
     order = []
     for tag in ("a", "b", "c"):

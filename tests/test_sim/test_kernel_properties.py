@@ -142,3 +142,47 @@ def test_cancelled_timeouts_never_resume_anyone(delays):
     for index, timeout in enumerate(timeouts):
         assert timeout.processed == (index % 2 == 1)
     assert len(env) == 0
+
+
+def test_cancel_head_then_schedule_same_timestamp():
+    """Cancelling the queue head then scheduling at its exact timestamp.
+
+    The tombstone of the cancelled head must be discarded without
+    swallowing the newcomer that lands on the same ``(time, priority)``
+    slot.
+    """
+    env = Environment()
+    fired = []
+    head = env.timeout(5.0)
+    later = env.timeout(7.0)
+    head.callbacks.append(lambda e: fired.append("head"))
+    later.callbacks.append(lambda e: fired.append("later"))
+    assert env.peek() == 5.0
+    assert env.cancel(head)
+
+    replacement = env.timeout(5.0)
+    replacement.callbacks.append(lambda e: fired.append("replacement"))
+    assert len(env) == 2
+    assert env.peek() == 5.0
+    env.run()
+    assert fired == ["replacement", "later"]
+    assert len(env) == 0
+
+
+def test_cancel_head_mid_run_then_same_timestamp_schedule():
+    """The same interaction arranged *during* the run by a process."""
+    env = Environment()
+    fired = []
+
+    def saboteur(env, victim):
+        yield env.timeout(1.0)
+        assert env.cancel(victim)
+        replacement = env.timeout(victim_delay - env.now)
+        replacement.callbacks.append(lambda e: fired.append("replacement"))
+
+    victim_delay = 4.0
+    victim = env.timeout(victim_delay)
+    victim.callbacks.append(lambda e: fired.append("victim"))
+    env.process(saboteur(env, victim))
+    env.run()
+    assert fired == ["replacement"]

@@ -8,15 +8,11 @@ Pooling must be observable *only* through ``events_reused`` — never
 through values, identities, or callback behaviour.
 """
 
-import os
-import subprocess
-import sys
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.instrument import KernelProbe
-from repro.sim import COMPILED_LOOP, Environment, Event, resolve_pool
+from repro.sim import Environment, resolve_pool
 from repro.sim.core import DEFAULT_POOL
 
 #: one timeout per op: (delay, hold a reference to it?)
@@ -124,46 +120,3 @@ def test_condition_children_are_not_recycled_while_waited_on():
     for i in range(200):
         env.timeout(0.5 + (i % 5) * 0.1)
     env.run()
-
-
-_SUBPROCESS_SIM = """
-import repro.sim as sim
-env = sim.Environment()
-total = []
-def worker():
-    for i in range(50):
-        value = yield env.timeout(0.25, value=i)
-        total.append(value)
-for _ in range(4):
-    env.process(worker())
-env.run()
-print(sim.COMPILED_LOOP, env.now, env.events_processed, sum(total))
-"""
-
-
-def _run_sim(extra_env):
-    env = dict(os.environ, PYTHONPATH="src", **extra_env)
-    return subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SIM],
-        capture_output=True, text=True, env=env, cwd=os.path.join(
-            os.path.dirname(__file__), os.pardir, os.pardir
-        ),
-    )
-
-
-def test_repro_compiled_zero_selects_pure_loop_with_identical_results():
-    default = _run_sim({})
-    pure = _run_sim({"REPRO_COMPILED": "0"})
-    assert default.returncode == 0, default.stderr
-    assert pure.returncode == 0, pure.stderr
-    assert pure.stdout.split()[0] == "False"
-    # same clock, same event count, same values — the loop implementation
-    # is unobservable apart from the COMPILED_LOOP flag itself
-    assert default.stdout.split()[1:] == pure.stdout.split()[1:]
-
-
-def test_compiled_flag_matches_hotloop_module():
-    from repro.sim import _hotloop
-
-    assert COMPILED_LOOP == _hotloop.COMPILED
-    assert isinstance(Event.PENDING, object)

@@ -185,12 +185,9 @@ def render_bench() -> str:
         if name in MICROBENCH_RUNNERS:
             kind = "microbench"
             help_text = {
-                "kernel": "pure event-loop throughput, binary-heap queue",
-                "kernel-wheel": "pure event-loop throughput, calendar queue",
-                "kernel-compiled": "event-loop throughput with the compiled hot loop",
-                "flood": "same-instant event flood, binary-heap queue",
-                "flood-wheel": "same-instant event flood, calendar queue",
-                "timeout-flood": "pending-timeout flood (cancel-heavy), calendar queue",
+                "kernel": "pure event-loop throughput: timeouts, processes, relays, cancels",
+                "flood": "drain rate of a deep resident queue (20k+ pending timeouts)",
+                "timeout-flood": "create+drain with the event freelist in steady state",
                 "router": "federation router microbenchmark",
                 "shards": "sharded federation scaling microbenchmark",
             }.get(name, "")
