@@ -5,8 +5,9 @@ means timeouts for everything routed to it (Sec. II).  The paper's
 modified controller — reproduced here — instead:
 
 * maintains a **dynamic registry** driven by status messages (register /
-  healthy / draining / deregister) plus a ping-timeout scanner for
-  ungraceful losses;
+  draining / deregister) plus a ping-timeout scanner for ungraceful
+  losses; a healthy invoker's regular pings are the schedule its
+  register message carries, which the scanner reads;
 * on a *draining* notice, immediately moves the invoker's **unpulled**
   messages to the global fast-lane topic (the invoker republishes its own
   internal buffer);
@@ -36,6 +37,7 @@ from repro.faas.messages import (
     ActivationMessage,
     CompletionMessage,
     PingMessage,
+    PingSchedule,
     next_activation_id,
 )
 from repro.sim import Environment, Event
@@ -60,11 +62,16 @@ class InvokerRecord:
     node: str
     status: InvokerStatus
     registered_at: float
+    #: when the latest ping was heard; the scanner brings a HEALTHY
+    #: record's value up to date from its schedule
     last_ping: float
     status_since: float
     gone_at: Optional[float] = None
     #: federation member the worker belongs to ("" = unfederated)
     cluster_id: str = ""
+    #: the healthy pings the register message announced (read while the
+    #: record is HEALTHY)
+    schedule: Optional[PingSchedule] = None
 
 
 @dataclass
@@ -514,22 +521,23 @@ class Controller:
                     last_ping=env.now,
                     status_since=env.now,
                     cluster_id=ping.cluster,
+                    schedule=ping.schedule,
                 )
                 self.invokers[ping.invoker_id] = record
                 self._pool_add(record)
                 self.events.append(
                     ControllerEvent(env.now, "invoker_registered", ping.invoker_id)
                 )
-            elif ping.kind == "healthy":
-                record = self.invokers.get(ping.invoker_id)
-                if record is not None and record.status is not InvokerStatus.GONE:
-                    record.last_ping = env.now
             elif ping.kind == "draining":
                 record = self.invokers.get(ping.invoker_id)
-                if record is not None and record.status is InvokerStatus.HEALTHY:
+                if record is None or record.status is InvokerStatus.GONE:
+                    continue
+                # Every draining ping keeps the record alive: a drain that
+                # waits out a long run must not be taken for a loss.
+                record.last_ping = env.now
+                if record.status is InvokerStatus.HEALTHY:
                     record.status = InvokerStatus.DRAINING
                     record.status_since = env.now
-                    record.last_ping = env.now
                     self._pool_remove(record)
                     moved = 0
                     if self.config.use_fast_lane:
@@ -563,16 +571,27 @@ class Controller:
                     )
 
     def _ping_scanner(self):
-        """Detect ungraceful losses (SIGKILL before drain finished)."""
+        """Detect ungraceful losses (SIGKILL before drain finished).
+
+        A HEALTHY record's pings are read from its schedule: the ones
+        heard before this instant count, as the health consumer would
+        have taken their messages by now.
+        """
         env = self.env
         while True:
             yield env.timeout(self.config.health_check_interval)
-            deadline = env.now - self.config.ping_timeout
+            now = env.now
+            deadline = now - self.config.ping_timeout
             for record in self.invokers.values():
                 if record.status is InvokerStatus.GONE:
                     continue
+                healthy = record.status is InvokerStatus.HEALTHY
+                if healthy and record.schedule is not None:
+                    heard = record.schedule.heard_before(now)
+                    if heard is not None:
+                        record.last_ping = heard
                 if record.last_ping < deadline:
-                    if record.status is InvokerStatus.HEALTHY:
+                    if healthy:
                         self._pool_remove(record)
                     record.status = InvokerStatus.GONE
                     record.status_since = env.now

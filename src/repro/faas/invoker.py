@@ -8,6 +8,15 @@ lane first, and claims again.  Each accepted activation becomes an
 :class:`_Execution` record that steps through pool wait, warm or cold
 start and the function run on kernel timers; the pool never blocks.
 
+Liveness costs a serving invoker nothing either.  Its regular pings are
+a :class:`~repro.faas.messages.PingSchedule` attached to the
+``register`` message, which the controller reads instead of receiving
+a message every ``ping_interval``; no heartbeat timer exists while the
+invoker serves.  The drain, a crash (:meth:`vanish`) and the final
+deregistration end the schedule.  A draining invoker sends real
+"draining" pings at the schedule's later fires, on one timer re-armed
+after each ping.
+
 On SIGTERM the pilot job calls :meth:`drain`:
 
 1. notify the controller (it stops routing here and moves the unpulled
@@ -39,7 +48,12 @@ from repro.faas.broker import Broker, COMPLETED_TOPIC, FASTLANE_TOPIC, HEALTH_TO
 from repro.faas.config import FaaSConfig
 from repro.faas.containers import Container, ContainerPool
 from repro.faas.functions import FunctionDef, FunctionRegistry
-from repro.faas.messages import ActivationMessage, CompletionMessage, PingMessage
+from repro.faas.messages import (
+    ActivationMessage,
+    CompletionMessage,
+    PingMessage,
+    PingSchedule,
+)
 from repro.faas.runtime import ContainerRuntime, SingularityRuntime
 from repro.sim import Environment, Event, Interrupt
 from repro.sim.resources import StoreClaim
@@ -228,7 +242,10 @@ class Invoker:
         self._draining = False
         #: activation_id -> execution, in accept order
         self._executions: Dict[str, _Execution] = {}
-        #: the heartbeat's pending timer
+        #: the healthy pings while serving (None before registration and
+        #: once ended)
+        self._schedule: Optional[PingSchedule] = None
+        #: the draining heartbeat's pending timer
         self._ping_timer: Optional[Event] = None
         #: the serving claims, fast lane first
         self._claims: List[StoreClaim] = []
@@ -245,7 +262,10 @@ class Invoker:
         return len(self._executions)
 
     def register(self):
-        """Announce this worker; start heartbeats.  (Generator.)"""
+        """Announce this worker with its ping schedule.  (Generator.)"""
+        schedule = PingSchedule(
+            self.env.now, self.config.ping_interval, self.broker.publish_latency
+        )
         self.broker.publish(
             HEALTH_TOPIC,
             PingMessage(
@@ -254,10 +274,11 @@ class Invoker:
                 self.env.now,
                 node=self.node,
                 cluster=self.cluster_id,
+                schedule=schedule,
             ),
         )
         self.stats.registered_at = self.env.now
-        self._arm_heartbeat()
+        self._schedule = schedule
         # Registration becomes effective when the controller consumes the
         # ping — one publish latency away.
         yield self.env.timeout(self.broker.publish_latency)
@@ -292,6 +313,7 @@ class Invoker:
             return self.stats
         self._draining = True
         self.stats.drain_started_at = env.now
+        self._ping_draining()
         try:
             # 1. Tell the controller: no new work; it re-routes our topic.
             yield env.timeout(cfg.drain_notify_delay)
@@ -403,30 +425,51 @@ class Invoker:
         self.stats.cold_starts = self.pool.cold_starts
         self.stats.warm_hits = self.pool.warm_hits
 
-    def _arm_heartbeat(self) -> None:
-        timer = self.env.timeout(self.config.ping_interval)
+    def _ping_draining(self) -> None:
+        """End the schedule; ping "draining" at its fires from now on."""
+        schedule, self._schedule = self._schedule, None
+        if schedule is None:
+            return
+        now = self.env.now
+        fire = schedule.stop(now)
+        delay = fire - now
+        if delay <= now:
+            # fire <= 2 * now, so the difference is exact (Sterbenz) and
+            # the timer lands on `fire` itself.
+            self._arm_heartbeat(delay)
+            return
+        # Early in the run (now < fire / 2) the difference may round off
+        # `fire`.  Hop to now + fire / 2 first: it lies in [fire / 2,
+        # fire], where the difference is exact again.
+        hop = self.env.timeout(fire * 0.5)
+        hop.callbacks.append(lambda _hop: self._arm_heartbeat(fire - self.env.now))
+        self._ping_timer = hop
+
+    def _arm_heartbeat(self, delay: float) -> None:
+        timer = self.env.timeout(delay)
         timer.callbacks.append(self._heartbeat)
         self._ping_timer = timer
 
     def _stop_heartbeat(self) -> None:
+        schedule, self._schedule = self._schedule, None
+        if schedule is not None:
+            schedule.stop(self.env.now)
         if self._ping_timer is not None:
             self.env.cancel(self._ping_timer)
             self._ping_timer = None
 
     def _heartbeat(self, _timer: Event) -> None:
-        kind = "healthy" if not self._draining else "draining"
         self.broker.publish(
             HEALTH_TOPIC,
             PingMessage(
                 self.invoker_id,
-                kind,
+                "draining",
                 self.env.now,
                 node=self.node,
                 cluster=self.cluster_id,
-                free_slots=self.config.max_containers - self.pool.busy_count,
             ),
         )
-        self._arm_heartbeat()
+        self._arm_heartbeat(self.config.ping_interval)
 
     def _claim(self) -> None:
         """Claim the next message of each topic, fast lane first."""

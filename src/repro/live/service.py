@@ -21,7 +21,10 @@ process resolves an :class:`asyncio.Future` when the process settles.
 Arrival timestamps map wall→kernel via ``max(0, clock.kernel_now() -
 env.now)``: the invocation generator first yields a timeout that carries
 the environment up to "now" under the wall clock, so an event is never
-scheduled in the past and idle periods cost no CPU.
+scheduled in the past.  Idle periods are not free: the kernel still
+steps the Slurm scheduler's poll and the controller's ping scanner, at
+``--speed 1000`` about 1,500 steps and a tenth of a CPU per wall second
+(measured on a 2-vCPU host).
 
 Workload specs in the stack are **not** attached — in live mode the
 workload section of a config describes the *replay traffic* (see

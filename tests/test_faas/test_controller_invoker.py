@@ -15,7 +15,7 @@ from repro.faas import (
     InvokerStatus,
 )
 from repro.faas.broker import COMPLETED_TOPIC, FASTLANE_TOPIC, HEALTH_TOPIC
-from repro.faas.messages import CompletionMessage, PingMessage
+from repro.faas.messages import CompletionMessage, PingMessage, PingSchedule
 from repro.sim import Environment, Interrupt
 
 
@@ -166,16 +166,13 @@ def test_activation_timeout_when_invoker_silent(env):
     broker, controller, _ = build_stack(env, config)
     controller.deploy(FunctionDef(name="f", duration=0.01))
     # Register a ghost invoker that never pulls its topic but pings.
-    from repro.faas.messages import PingMessage
-
-    broker.publish("health", PingMessage("ghost", "register", 0.0, node="x"))
-
-    def keep_alive(env):
-        while True:
-            yield env.timeout(1.0)
-            broker.publish("health", PingMessage("ghost", "healthy", env.now))
-
-    env.process(keep_alive(env))
+    broker.publish(
+        "health",
+        PingMessage(
+            "ghost", "register", 0.0, node="x",
+            schedule=PingSchedule(0.0, 1.0, config.publish_latency),
+        ),
+    )
 
     def client(env):
         yield env.timeout(0.5)
@@ -186,6 +183,7 @@ def test_activation_timeout_when_invoker_silent(env):
     env.run(until=20)
     assert proc.value.status is ActivationStatus.TIMEOUT
     assert proc.value.response_time == pytest.approx(5.0, abs=0.1)
+    assert controller.invokers["ghost"].status is InvokerStatus.HEALTHY
 
 
 def test_overload_rejection(env):
@@ -223,6 +221,35 @@ def test_drain_deregisters_and_moves_unpulled_to_fastlane(env):
     env.run(until=5)
     assert controller.invokers["inv-1"].status is InvokerStatus.GONE
     assert invoker.stats.deregistered_at is not None
+
+
+def test_a_drain_that_outlasts_the_ping_timeout_deregisters(env):
+    """A drain waiting out a non-interruptible run sends "draining" pings
+    past ``ping_timeout``; they keep the DRAINING record alive, so the
+    invoker leaves by deregistering, not as a loss."""
+    config = fast_config(activation_timeout=60.0)
+    broker, controller, _ = build_stack(env, config)
+    controller.deploy(FunctionDef(name="long", duration=30.0))
+    invoker, proc = spawn_invoker(env, broker, controller, config)
+
+    def client(env):
+        yield env.timeout(1)
+        return (yield from controller.invoke("long", interruptible=False))
+
+    call = env.process(client(env))
+    env.run(until=5)
+    proc.interrupt("sigterm")
+    env.run(until=60)
+    assert call.value.status is ActivationStatus.SUCCESS
+    assert [(e.kind, e.invoker_id) for e in controller.events] == [
+        ("invoker_registered", "inv-1"),
+        ("invoker_draining", "inv-1"),
+        ("invoker_deregistered", "inv-1"),
+    ]
+    record = controller.invokers["inv-1"]
+    assert record.status is InvokerStatus.GONE
+    assert record.gone_at == invoker.stats.deregistered_at + config.publish_latency
+    assert record.gone_at - invoker.stats.drain_started_at > config.ping_timeout + 15
 
 
 def test_drain_requeues_buffered_work_to_fastlane_and_other_invoker_serves(env):

@@ -24,7 +24,15 @@ are valid runs of the protocol.  The ties a script makes on purpose
 (bursts at one instant, signals shared between invokers or landing on a
 submission) must match exactly.  Start and request times are shifted by
 two unrelated constants, so that round values cannot line a heartbeat up
-with a request by accident.
+with a request by accident, and each invoker's start by its own
+multiple of the first: a draining invoker arms its ping timer when the
+drain starts, so two invokers whose pings fall due at one instant send
+them in drain order, where the process reference sends them in
+registration order.
+
+Both invokers speak the schedule contract: the register message carries
+a :class:`~repro.faas.messages.PingSchedule`, no healthy ping is sent,
+and the reference's ping loop publishes only while draining.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from repro.faas.containers import Container, ContainerPool
 from repro.faas.messages import (
     ActivationMessage,
     PingMessage,
+    PingSchedule,
     next_activation_id,
     reset_activation_ids,
 )
@@ -124,16 +133,24 @@ class ProcessInvoker(Invoker):
         return len(self._executors)
 
     def register(self):
+        self._schedule = PingSchedule(
+            self.env.now, self.config.ping_interval, self.broker.publish_latency
+        )
         self.broker.publish(
             HEALTH_TOPIC,
             PingMessage(
                 self.invoker_id, "register", self.env.now,
-                node=self.node, cluster=self.cluster_id,
+                node=self.node, cluster=self.cluster_id, schedule=self._schedule,
             ),
         )
         self.stats.registered_at = self.env.now
         self._ping_proc = self.env.process(self._heartbeat())
         yield self.env.timeout(self.broker.publish_latency)
+
+    def _end_schedule(self) -> None:
+        if self._schedule is not None:
+            self._schedule.stop(self.env.now)
+            self._schedule = None
 
     def serve(self):
         try:
@@ -151,6 +168,7 @@ class ProcessInvoker(Invoker):
             return self.stats
         self._draining = True
         self.stats.drain_started_at = env.now
+        self._end_schedule()
         try:
             yield env.timeout(cfg.drain_notify_delay)
             self.broker.publish(
@@ -198,6 +216,7 @@ class ProcessInvoker(Invoker):
 
     def vanish(self) -> None:
         self._draining = True
+        self._end_schedule()
         if self._ping_proc is not None and self._ping_proc.is_alive:
             self._ping_proc.interrupt("node_fail")
         self.stats.abandoned_on_kill += len(self._executors) + len(self._orphans)
@@ -223,6 +242,7 @@ class ProcessInvoker(Invoker):
             ),
         )
         self.stats.deregistered_at = env.now
+        self._end_schedule()
         if self._ping_proc is not None and self._ping_proc.is_alive:
             self._ping_proc.interrupt("shutdown")
         self.pool.destroy_all()
@@ -230,17 +250,18 @@ class ProcessInvoker(Invoker):
         self.stats.warm_hits = self.pool.warm_hits
 
     def _heartbeat(self):
+        """The ping loop; the schedule stands for its healthy pings."""
         env = self.env
         try:
             while True:
                 yield env.timeout(self.config.ping_interval)
-                kind = "healthy" if not self._draining else "draining"
+                if not self._draining:
+                    continue
                 self.broker.publish(
                     HEALTH_TOPIC,
                     PingMessage(
-                        self.invoker_id, kind, env.now,
+                        self.invoker_id, "draining", env.now,
                         node=self.node, cluster=self.cluster_id,
-                        free_slots=self.config.max_containers - self.pool.busy_count,
                     ),
                 )
         except Interrupt:
@@ -331,8 +352,8 @@ FUNCTIONS = (
 )
 
 
-#: shifts of the invokers' start times and of the request times (see
-#: the module docstring)
+#: shifts of the invokers' start times (times the invoker's position)
+#: and of the request times (see the module docstring)
 START_SHIFT = 0.0314159
 REQUEST_SHIFT = 0.0271828
 
@@ -377,7 +398,7 @@ def run_world(invoker_cls, script) -> dict:
             env, f"inv-{index}", f"n{index:04d}", broker, controller.registry, config, rng
         )
         invokers.append(invoker)
-        proc = env.process(pilot(env, invoker, plan["start"] + START_SHIFT))
+        proc = env.process(pilot(env, invoker, plan["start"] + START_SHIFT * (index + 1)))
         # signals land at an offset from one of the requests, so that
         # they catch executions in every phase; None shares one instant
         # (a prime job preempting several pilots at once)

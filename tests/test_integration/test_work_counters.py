@@ -13,8 +13,13 @@ Each day's accepted share, success share and median response are pinned
 to the last bit as well.  These days are larger than the golden traces,
 so a change that reorders same-instant events (and with them the draws
 from a cluster's shared pilot RNG) fails here too, not only at scale.
+
+A serving invoker's pings are a schedule the controller reads, not
+kernel events, so an idle fleet's kernel work does not grow with its
+size; the last test pins that.
 """
 
+from repro.api import Stack, SupplySpec
 from repro.cluster.backfill import BackfillScheduler
 from repro.cluster.slurmctld import SlurmController
 from repro.scenarios import REGISTRY, load_builtin
@@ -24,10 +29,10 @@ from repro.sim.process import Process
 #: a shrunk ``day`` at the paper's 10 req/s (see perf/run.py, day_fib)
 PARAMS = dict(model="fib", nodes=24, hours=0.1, qps=10.0, no_load=False, plot=False, seed=317)
 INVOCATIONS = 3592
-#: ~6.9 events per invocation: the request's inject tick, two broker
+#: ~5.7 events per invocation: the request's inject tick, two broker
 #: messages, the invoker's wake-up, the warm start and the run, plus the
-#: shared heartbeats and deadline timer
-EVENTS = 24734
+#: shared deadline timer
+EVENTS = 20513
 #: no spawn per invocation: requests, pulls and executions are kernel
 #: callbacks; these are the pilots, the Slurm loops and the consumers
 SPAWNS = 52
@@ -41,7 +46,7 @@ HARVEST_PARAMS = dict(
     model="fib", nodes=300, hours=0.5, qps=0.5, no_load=False, plot=False, seed=321
 )
 HARVEST_INVOCATIONS = 900
-HARVEST_EVENTS = 40629
+HARVEST_EVENTS = 10161
 HARVEST_SPAWNS = 604
 HARVEST_RESULTS = (0.98, 1.0, 1.2621751482776062)
 #: one BackfillScheduler.plan call per scheduling pass
@@ -80,7 +85,7 @@ def test_fib_day_kernel_work_per_invocation_is_pinned(monkeypatch):
 
     assert result.artifacts["result"].gatling.total == INVOCATIONS
     assert (events, spawns[0]) == (EVENTS, SPAWNS)
-    assert events / INVOCATIONS < 8.0
+    assert events / INVOCATIONS < 6.0
     assert spawns[0] / INVOCATIONS < 0.05
     assert day_results(result) == RESULTS
 
@@ -98,3 +103,20 @@ def test_300_node_day_cluster_work_is_pinned(monkeypatch):
     assert (passes[0], starts[0]) == (HARVEST_PASSES, HARVEST_STARTS)
     assert (events, spawns[0]) == (HARVEST_EVENTS, HARVEST_SPAWNS)
     assert day_results(result) == HARVEST_RESULTS
+
+
+def idle_fleet_events(invokers, horizon):
+    """Kernel events of a static fleet that serves no traffic."""
+    stack = Stack(supply=SupplySpec("static", invokers=invokers), horizon=horizon)
+    before = KERNEL_TOTALS.events_processed
+    stack.run()
+    return KERNEL_TOTALS.events_processed - before
+
+
+def test_an_idle_serving_invoker_costs_no_kernel_events():
+    growth = [
+        idle_fleet_events(invokers, 600.0) - idle_fleet_events(invokers, 60.0)
+        for invokers in (1, 3)
+    ]
+    # the cluster's scheduler loop and the controller's ping scanner
+    assert growth[0] == growth[1] == 828
